@@ -45,6 +45,9 @@ fairvet-selfcheck:
 # race runs every concurrency-sensitive suite under the race detector —
 # the single source of truth for what CI exercises with -race. The -run
 # filters keep the expensive packages scoped to their concurrent paths.
+# TestMetricsP99AgreesWithLoad compares two wall-clock p99s to within
+# 1/32, and race instrumentation skews the client side past that in
+# about one run in seven, so it runs without -race only (tier-1).
 race:
 	$(GO) test -race ./internal/engine ./internal/goldencase
 	$(GO) test -race ./internal/core -run 'TestParallelSweep|TestAggregateKernelParity|TestEmptyClusterRepair'
@@ -60,6 +63,7 @@ race:
 	$(GO) test -race ./internal/telemetry
 	$(GO) test -race ./internal/serve -run 'TestAssignBatchTraced|TestSnapshotDoesNotBlockRecording'
 	$(GO) test -race ./internal/cli ./cmd/benchguard
+	$(GO) test -race ./cmd/fairserved -skip 'TestMetricsP99AgreesWithLoad'
 
 # bench records the sweep/kernel perf trajectory for this checkout as a
 # raw `go test -bench -json` event stream, so future PRs can diff
@@ -80,6 +84,9 @@ race:
 # (BenchmarkLoad, offered rates {500,2000,8000} req/s against an
 # in-process admission-controlled registry; rows/s, accepted p99,
 # shed fraction, SLO verdict per operating point).
+# BENCH_http.json records the in-process /v1/assign request split into
+# layers (BenchmarkHTTP, layer={decode,assign,encode,handler} ×
+# batch={1,64,1024} at k=150; ns/op, allocs/op and rows/s).
 # BENCH_kernels.json is the frozen PR 7 baseline for the pruned
 # nearest-centroid kernels (BenchmarkLloyd kernel={pruned,full} and
 # the BenchmarkServe workers×batch grid + kernel k-sweep); it is NOT
@@ -95,6 +102,7 @@ bench:
 	$(GO) test . -run '^$$' -bench 'BenchmarkShard' -benchtime 1x -count 3 -json > BENCH_shard.json
 	$(GO) test ./internal/serve -run '^$$' -bench 'BenchmarkServe' -benchtime 1s -count 3 -json > BENCH_serve.json
 	$(GO) test ./internal/load -run '^$$' -bench 'BenchmarkLoad' -benchtime 1x -json > BENCH_load.json
+	$(GO) test ./cmd/fairserved -run '^$$' -bench 'BenchmarkHTTP' -benchtime 1s -count 3 -json > BENCH_http.json
 	$(GO) test ./internal/stats -run '^$$' -bench 'BenchmarkDot|BenchmarkSqDist|BenchmarkZipf|BenchmarkNearest' -benchtime 1s
 
 # bench-check guards the recorded perf trajectory: after `make bench`,
@@ -122,4 +130,5 @@ bench-smoke:
 	$(GO) test ./internal/serve -run '^$$' -bench 'BenchmarkServeTelemetry' -benchtime 1x
 	$(GO) test ./internal/kmeans -run '^$$' -bench 'BenchmarkLloyd' -benchtime 1x
 	$(GO) test ./internal/load -run '^$$' -bench 'BenchmarkLoad/rate=500' -benchtime 1x
+	$(GO) test ./cmd/fairserved -run '^$$' -bench 'BenchmarkHTTP' -benchtime 1x
 	$(GO) test ./internal/stats -run '^$$' -bench 'BenchmarkDot|BenchmarkSqDist|BenchmarkZipf|BenchmarkNearest' -benchtime 1x

@@ -4,13 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/model"
 	"repro/internal/serve"
 )
 
@@ -40,19 +45,35 @@ func TestBodyLimits(t *testing.T) {
 		t.Errorf("413 body not a JSON error: %s", data)
 	}
 
-	// Garbage bytes get 400, not a 500 or a hang.
-	for name, body := range map[string]string{
-		"not json":      "{not json at all",
-		"trailing data": `{"features":[1,2,3]} {"x":1}`,
-		"unknown field": `{"features":[1,2,3],"bogus":true}`,
+	// Garbage bytes get 400, not a 500 or a hang; the trailing-data
+	// cases include a stray closing bracket, which must not pass for
+	// the end of the value. Both endpoints read bodies the same way.
+	for _, ep := range []struct{ path, valid string }{
+		{"/v1/assign", `{"features":[1,2,3]}`},
+		{"/v1/models/reload", `{"model":"prod"}`},
 	} {
-		resp, err := http.Post(ts.URL+"/v1/assign", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
+		for name, body := range map[string]string{
+			"not json":            "{not json at all",
+			"trailing data":       ep.valid + ` {"x":1}`,
+			"trailing brace":      ep.valid + ` }`,
+			"trailing bracket":    ep.valid + `]`,
+			"unknown field":       `{"features":[1,2,3],"bogus":true}`,
+			"case-folded unknown": `{"Bogus":true}`,
+		} {
+			resp, data := postRaw(t, ts.URL+ep.path, body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s = %d %s, want 400", ep.path, name, resp.StatusCode, data)
+			}
+			if strings.HasPrefix(name, "trailing") && !strings.Contains(string(data), "trailing data") {
+				t.Errorf("%s %s error = %s, want trailing data", ep.path, name, data)
+			}
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s = %d, want 400", name, resp.StatusCode)
+
+		// A small valid body padded past the bound: the whole body is
+		// read under -max-body, so the padding cannot slip past it.
+		resp, data := postRaw(t, ts.URL+ep.path, ep.valid+strings.Repeat(" ", 600))
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s padded past the bound = %d %s, want 413", ep.path, resp.StatusCode, data)
 		}
 	}
 
@@ -75,6 +96,21 @@ func TestBodyLimits(t *testing.T) {
 	if st := e2.Assigner().Stats(); st.Requests != 0 {
 		t.Errorf("rejected bodies reached the assigner: %+v", st)
 	}
+}
+
+// postRaw posts body verbatim and returns the response and its body.
+func postRaw(t *testing.T, url, body string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, data
 }
 
 // TestOverloadResponses wedges the single scoring slot and checks the
@@ -256,4 +292,117 @@ func TestDebugMuxIsolation(t *testing.T) {
 			t.Errorf("serving mux %s = %d, want 404", p, resp.StatusCode)
 		}
 	}
+}
+
+// TestOrphanedStridesKeepRows: a request whose deadline passes while
+// one of its pooled strides is stalled gets its 503 at once, and the
+// orphaned stride reads that request's rows only afterwards — while
+// other requests are being decoded and scored. Rows must therefore be
+// owned by their request and never recycled: every 200 still carries
+// the sequential-scan answer for its own rows, and under -race a row
+// buffer handed to a later request while a stride still reads it is
+// reported as a race.
+func TestOrphanedStridesKeepRows(t *testing.T) {
+	dir := t.TempDir()
+	path, m := saveFixtureModel(t, dir, 16)
+	const batch = 4
+	release := make(chan struct{})
+	ts, _ := hardTestServer(t, path, serve.Options{
+		Workers:   4,
+		BatchSize: batch,
+		// Only the stalled requests have a one-row stride; it blocks
+		// its worker until released.
+		ScoreHook: func(rows int) {
+			if rows == 1 {
+				<-release
+			}
+		},
+	}, handlerOptions{RequestTimeout: 50 * time.Millisecond})
+
+	// Three stalled requests pin three of the four workers.
+	stalled := make([]map[string]any, 3*batch+1)
+	for i := range stalled {
+		stalled[i] = map[string]any{"features": []float64{float64(i), -1, 2}}
+	}
+	for i := 0; i < 3; i++ {
+		resp, data := postJSON(t, ts.URL+"/v1/assign", map[string]any{"rows": stalled})
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("stalled request %d = %d %s, want 503", i, resp.StatusCode, data)
+		}
+	}
+
+	// Good traffic on the remaining worker; the stalled strides are
+	// released part-way through, so they read their rows while good
+	// requests are in flight.
+	const posters, perPoster = 3, 20
+	var ok, unavailable atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < posters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < perPoster; r++ {
+				rows := make([]map[string]any, 2*batch)
+				xs := make([][]float64, len(rows))
+				for j := range rows {
+					xs[j] = []float64{float64(g) - float64(j)*0.25, float64(r) * 0.1, float64(j%3) - 1}
+					rows[j] = map[string]any{"features": xs[j]}
+				}
+				if !goodAssign(t, ts.URL, rows, xs, m) {
+					unavailable.Add(1)
+				} else {
+					ok.Add(1)
+				}
+				if g == 0 && r == perPoster/4 {
+					close(release)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if ok.Load() == 0 {
+		t.Fatalf("no good request succeeded (%d got 503)", unavailable.Load())
+	}
+	t.Logf("%d good requests answered, %d shed by the deadline", ok.Load(), unavailable.Load())
+}
+
+// goodAssign posts one batch and checks a 200 against model.AssignDist
+// on its own rows. It reports false for a 503 and flags anything else.
+func goodAssign(t *testing.T, url string, rows []map[string]any, xs [][]float64, m *model.Model) bool {
+	raw, err := json.Marshal(map[string]any{"rows": rows})
+	if err != nil {
+		t.Error(err)
+		return false
+	}
+	resp, err := http.Post(url+"/v1/assign", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Error(err)
+		return false
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Error(err)
+		return false
+	}
+	switch resp.StatusCode {
+	case http.StatusServiceUnavailable:
+		return false
+	case http.StatusOK:
+	default:
+		t.Errorf("good request = %d %s", resp.StatusCode, data)
+		return false
+	}
+	var got assignResponse
+	if err := json.Unmarshal(data, &got); err != nil || len(got.Assignments) != len(xs) {
+		t.Errorf("good request answer %s (%v)", data, err)
+		return true
+	}
+	for i, x := range xs {
+		c, d := m.AssignDist(x)
+		if a := got.Assignments[i]; a.Cluster != c || math.Abs(a.Distance-d) > 1e-9*(1+d) {
+			t.Errorf("row %d %v: served cluster %d distance %v, want %d %v", i, x, a.Cluster, a.Distance, c, d)
+		}
+	}
+	return true
 }

@@ -368,9 +368,14 @@ func newHandler(reg *serve.Registry, ts *telemetryState, opts handlerOptions) ht
 }
 
 func handleAssign(reg *serve.Registry, opts handlerOptions, w http.ResponseWriter, r *http.Request) {
-	var req assignRequest
-	if err := decodeJSON(w, r, &req, opts.maxBody()); err != nil {
+	body, err := readBody(w, r, opts.maxBody())
+	if err != nil {
 		httpError(w, bodyErrStatus(err), err.Error())
+		return
+	}
+	req, err := decodeAssign(body)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	single := req.Features != nil
@@ -390,12 +395,14 @@ func handleAssign(reg *serve.Registry, opts handlerOptions, w http.ResponseWrite
 	if single {
 		rows = []assignRow{{Features: req.Features, Sensitive: req.Sensitive}}
 	}
+	// The decoded rows belong to this request alone and are never
+	// recycled: after a mid-batch deadline, orphaned strides may still
+	// be reading them when the 503 goes out.
 	features := make([][]float64, len(rows))
 	var sensitive []map[string]string
 	for i, row := range rows {
 		x := row.Features
 		if req.Raw && m.Scaling != nil && len(x) == m.Dim() {
-			x = append([]float64(nil), x...)
 			m.Scaling.Apply(x)
 		}
 		features[i] = x
@@ -431,15 +438,28 @@ func handleAssign(reg *serve.Registry, opts handlerOptions, w http.ResponseWrite
 		}
 		return
 	}
-	resp := assignResponse{
-		Model:       e.Name,
-		Generation:  e.Generation,
-		Assignments: make([]assignment, len(clusters)),
+	writeAssignResponse(w, e.Name, e.Generation, clusters, dists)
+}
+
+// writeAssignResponse sends a 200 /v1/assign reply, encoded by
+// appendAssignResponse into a buffer sized for the reply.
+func writeAssignResponse(w http.ResponseWriter, name string, generation int, clusters []int, dists []float64) {
+	b, ok := appendAssignResponse(make([]byte, 0, 64+48*len(clusters)), name, generation, clusters, dists)
+	if !ok {
+		// A non-finite distance has no JSON number form; keep
+		// encoding/json's handling of it.
+		resp := assignResponse{Model: name, Generation: generation, Assignments: make([]assignment, len(clusters))}
+		for i, c := range clusters {
+			resp.Assignments[i] = assignment{Cluster: c, Distance: dists[i]}
+		}
+		writeJSON(w, http.StatusOK, resp)
+		return
 	}
-	for i, c := range clusters {
-		resp.Assignments[i] = assignment{Cluster: c, Distance: dists[i]}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(b) //fairvet:ignore errflow -- status line already sent; a write error means the client hung up
 }
 
 func modelInfos(reg *serve.Registry) []modelInfo {
@@ -485,25 +505,8 @@ func modelInfos(reg *serve.Registry) []modelInfo {
 	return infos
 }
 
-// decodeJSON strictly decodes one JSON body of at most maxBody bytes:
-// unknown fields, trailing data, and oversized payloads are all
-// rejected rather than silently accepted or read unboundedly. The
-// *http.MaxBytesError from an oversized body is preserved in the wrap
-// so bodyErrStatus can map it to 413.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any, maxBody int64) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
-	}
-	if dec.More() {
-		return errors.New("bad request body: trailing data")
-	}
-	return nil
-}
-
-// bodyErrStatus maps a decodeJSON failure to its status: 413 when the
-// body blew the -max-body bound, 400 for everything else.
+// bodyErrStatus maps a readBody or decodeJSON failure to its status:
+// 413 when the body blew the -max-body bound, 400 for everything else.
 func bodyErrStatus(err error) int {
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
@@ -515,9 +518,7 @@ func bodyErrStatus(err error) int {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //fairvet:ignore errflow -- status line already sent; an encode error has no channel back to the client
+	json.NewEncoder(w).Encode(v) //fairvet:ignore errflow -- status line already sent; an encode error has no channel back to the client
 }
 
 func httpError(w http.ResponseWriter, status int, msg string) {
