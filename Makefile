@@ -73,10 +73,10 @@ race:
 # records the summarize-then-solve pipeline against full-data FairKM
 # (wall-clock, summary size and objective ratio on Adult-6500 and a
 # synthetic n=10^5 stream). BENCH_serve.json records batch-assign
-# serving throughput across micro-batch sizes and worker counts
-# (BenchmarkServe, 4096 Adult-shaped rows per op at k=15), plus the
-# BenchmarkServeTelemetry off/on pair — the same workload without and
-# with span tracing — which bench-check compares against each other.
+# serving throughput (BenchmarkServe: one 4096-row Adult-shaped request
+# at k=15 scored inline, the kernel k-sweep and the single query), plus
+# the BenchmarkServeTelemetry off/on pair — the same workload without
+# and with span tracing — which bench-check compares against each other.
 # BENCH_shard.json records sharded summarize-then-solve scaling
 # (BenchmarkShard, S ∈ {1,2,4,8} on Adult-6500 + synth-1e5; obj-vs-s1
 # must stay ≈1 — sharding buys wall-clock, not objective).
@@ -89,9 +89,9 @@ race:
 # batch={1,64,1024} at k=150; ns/op, allocs/op and rows/s).
 # BENCH_kernels.json is the frozen PR 7 baseline for the pruned
 # nearest-centroid kernels (BenchmarkLloyd kernel={pruned,full} and
-# the BenchmarkServe workers×batch grid + kernel k-sweep); it is NOT
-# re-recorded by this target — `make bench-check` diffs fresh
-# recordings against it.
+# BenchmarkServe's kernel k-sweep, single query and the since-removed
+# workers×batch grid); it is NOT re-recorded by this target —
+# `make bench-check` diffs fresh recordings against it.
 # Guarded recordings use -count 3: benchguard compares the minimum
 # ns/op across counts (the repeatable floor), which is what keeps a
 # ±5% bar meaningful on a shared box where CPU steal inflates single
@@ -113,11 +113,16 @@ bench:
 # reference box the min-of-3 floor of the Lloyd/serve benchmarks still
 # drifts ±10% between back-to-back no-op recordings (measured while
 # freezing the baseline) — a genuine pruning regression (losing the
-# 1.5–2× win at k=150) blows far past 15%, noise does not.
+# 1.5–2× win at k=150) blows far past 15%, noise does not. The frozen
+# BenchmarkServe/workers=1/batch=64 entry took the same inline path
+# every request takes now, so it is the baseline of batch=4096; the
+# frozen entries of the other (deleted) workers×batch settings are not
+# compared.
 bench-check:
 	$(GO) run ./cmd/benchguard -baseline BENCH_sweep.json -current BENCH_engine.json -match 'BenchmarkSweep/|BenchmarkBestMove/' -tol 0.05
 	$(GO) run ./cmd/benchguard -baseline BENCH_kernels.json -current BENCH_engine.json -match 'BenchmarkLloyd/' -tol 0.15
-	$(GO) run ./cmd/benchguard -baseline BENCH_kernels.json -current BENCH_serve.json -match 'BenchmarkServe/' -tol 0.15
+	$(GO) run ./cmd/benchguard -baseline BENCH_kernels.json -current BENCH_serve.json -match 'BenchmarkServe/(kernel=|single)' -tol 0.15
+	$(GO) run ./cmd/benchguard -baseline BENCH_kernels.json -current BENCH_serve.json -match 'BenchmarkServe/workers=1/batch=64$$' -rename-from 'workers=1/batch=64' -rename-to 'batch=4096' -tol 0.15
 	$(GO) run ./cmd/benchguard -baseline BENCH_serve.json -current BENCH_serve.json -match 'BenchmarkServeTelemetry/telemetry=off/' -rename-from 'telemetry=off' -rename-to 'telemetry=on' -tol 0.05
 
 # bench-smoke just proves the benchmarks still compile and run (CI).
@@ -125,7 +130,7 @@ bench-smoke:
 	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkSweep' -benchtime 1x
 	$(GO) test . -run '^$$' -bench 'BenchmarkStream/stream' -benchtime 1x
 	$(GO) test . -run '^$$' -bench 'BenchmarkShard/shards=2/adult6500' -benchtime 1x
-	$(GO) test ./internal/serve -run '^$$' -bench 'BenchmarkServe/workers=1/batch=64' -benchtime 1x
+	$(GO) test ./internal/serve -run '^$$' -bench 'BenchmarkServe/batch=4096' -benchtime 1x
 	$(GO) test ./internal/serve -run '^$$' -bench 'BenchmarkServe/kernel=' -benchtime 1x
 	$(GO) test ./internal/serve -run '^$$' -bench 'BenchmarkServeTelemetry' -benchtime 1x
 	$(GO) test ./internal/kmeans -run '^$$' -bench 'BenchmarkLloyd' -benchtime 1x

@@ -16,8 +16,8 @@
 //	fairload -artifact prod=m.json -rate 500 -requests 5000
 //	    loads the artifact(s) into an in-process registry and drives it
 //	    directly — deterministic, no network in the measurement. The
-//	    -workers/-batch/-max-concurrent/-max-queue/-queue-budget flags
-//	    configure the in-process server exactly like fairserved.
+//	    -max-concurrent/-max-queue/-queue-budget flags configure the
+//	    in-process server exactly like fairserved.
 //
 // At a fixed -seed the schedule and payload bytes are identical across
 // runs and machines (the report prints the workload fingerprint).
@@ -82,8 +82,6 @@ func runCtx(ctx context.Context, args []string, out io.Writer) (err error) {
 		asJSON    = fs.Bool("json", false, "emit the full report as JSON instead of the summary")
 		cpuProf   = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
 
-		workers     = fs.Int("workers", 0, "in-process: scoring workers per model (0 = GOMAXPROCS)")
-		batch       = fs.Int("batch", 0, "in-process: micro-batch size per worker task (0 = 64)")
 		maxConc     = fs.Int("max-concurrent", 0, "in-process: max concurrent batches per model (0 = unlimited)")
 		maxQueue    = fs.Int("max-queue", 0, "in-process: admission queue depth (requires -max-concurrent)")
 		queueBudget = fs.Duration("queue-budget", 0, "in-process: shed when estimated queue wait exceeds this (requires -max-concurrent)")
@@ -95,8 +93,8 @@ func runCtx(ctx context.Context, args []string, out io.Writer) (err error) {
 		fs.Usage()
 		return fmt.Errorf("exactly one of -url (HTTP mode) or -artifact (in-process mode) is required")
 	}
-	if *url != "" && (*workers != 0 || *batch != 0 || *maxConc != 0 || *maxQueue != 0 || *queueBudget != 0) {
-		return fmt.Errorf("-workers/-batch/-max-concurrent/-max-queue/-queue-budget configure the in-process server; they have no effect with -url")
+	if *url != "" && (*maxConc != 0 || *maxQueue != 0 || *queueBudget != 0) {
+		return fmt.Errorf("-max-concurrent/-max-queue/-queue-budget configure the in-process server; they have no effect with -url")
 	}
 	if *maxConc == 0 && (*maxQueue != 0 || *queueBudget != 0) {
 		return fmt.Errorf("-max-queue and -queue-budget require -max-concurrent > 0")
@@ -145,8 +143,6 @@ func runCtx(ctx context.Context, args []string, out io.Writer) (err error) {
 		tgt = &load.HTTPTarget{BaseURL: *url}
 	} else {
 		reg := serve.NewRegistry(serve.Options{
-			Workers:       *workers,
-			BatchSize:     *batch,
 			MaxConcurrent: *maxConc,
 			MaxQueue:      *maxQueue,
 			QueueBudget:   *queueBudget,

@@ -156,7 +156,7 @@ func TestValidationAudit(t *testing.T) {
 		"bad zipf":                  {"-artifact", art, "-zipf", "0.5"},
 		"negative timeout":          {"-artifact", art, "-timeout", "-1s"},
 		"negative dim":              {"-artifact", art, "-dim", "-3"},
-		"server flags in http mode": {"-url", "http://x", "-workers", "2"},
+		"server flags in http mode": {"-url", "http://x", "-max-concurrent", "2"},
 		"queue without concurrent":  {"-artifact", art, "-max-queue", "4"},
 		"unreachable url":           {"-url", "http://127.0.0.1:1", "-requests", "1"},
 	}

@@ -32,7 +32,7 @@ func hardTestServer(t *testing.T, path string, so serve.Options, ho handlerOptio
 func TestBodyLimits(t *testing.T) {
 	dir := t.TempDir()
 	path, _ := saveFixtureModel(t, dir, 11)
-	ts, reg := hardTestServer(t, path, serve.Options{Workers: 1}, handlerOptions{MaxBody: 512})
+	ts, reg := hardTestServer(t, path, serve.Options{}, handlerOptions{MaxBody: 512})
 
 	// A syntactically valid body that blows the 512-byte bound.
 	big := map[string]any{"features": make([]float64, 4096)}
@@ -96,6 +96,18 @@ func TestBodyLimits(t *testing.T) {
 	if st := e2.Assigner().Stats(); st.Requests != 0 {
 		t.Errorf("rejected bodies reached the assigner: %+v", st)
 	}
+
+	// Features this large overflow the squared distance to +Inf, which
+	// has no JSON number form: the reply is a 400 with a JSON error,
+	// never a 200 with an empty body.
+	resp, data = postRaw(t, ts.URL+"/v1/assign", `{"features":[1e200,1e200,1e200]}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("overflowing features = %d %s, want 400", resp.StatusCode, data)
+	}
+	var oe map[string]string
+	if err := json.Unmarshal(data, &oe); err != nil || oe["error"] == "" {
+		t.Errorf("overflow reply not a JSON error: %s", data)
+	}
 }
 
 // postRaw posts body verbatim and returns the response and its body.
@@ -122,7 +134,6 @@ func TestOverloadResponses(t *testing.T) {
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
 	ts, reg := hardTestServer(t, path, serve.Options{
-		Workers:       1,
 		MaxConcurrent: 1,
 		MaxQueue:      1,
 		ScoreHook: func(rows int) {
@@ -213,7 +224,6 @@ func TestRequestTimeout503(t *testing.T) {
 	dir := t.TempDir()
 	path, _ := saveFixtureModel(t, dir, 13)
 	ts, _ := hardTestServer(t, path, serve.Options{
-		Workers:       1,
 		MaxConcurrent: 1,
 		ScoreHook:     func(rows int) { time.Sleep(300 * time.Millisecond) },
 	}, handlerOptions{RequestTimeout: 30 * time.Millisecond})
@@ -281,7 +291,7 @@ func TestDebugMuxIsolation(t *testing.T) {
 
 	dir := t.TempDir()
 	path, _ := saveFixtureModel(t, dir, 15)
-	ts, _ := hardTestServer(t, path, serve.Options{Workers: 1}, handlerOptions{})
+	ts, _ := hardTestServer(t, path, serve.Options{}, handlerOptions{})
 	for _, p := range []string{"/debug/pprof/", "/debug/pprof/profile", "/debug/pprof/heap"} {
 		resp, err := http.Get(ts.URL + p)
 		if err != nil {
@@ -294,55 +304,69 @@ func TestDebugMuxIsolation(t *testing.T) {
 	}
 }
 
-// TestOrphanedStridesKeepRows: a request whose deadline passes while
-// one of its pooled strides is stalled gets its 503 at once, and the
-// orphaned stride reads that request's rows only afterwards — while
-// other requests are being decoded and scored. Rows must therefore be
-// owned by their request and never recycled: every 200 still carries
-// the sequential-scan answer for its own rows, and under -race a row
-// buffer handed to a later request while a stride still reads it is
-// reported as a race.
+// TestOrphanedStridesKeepRows: requests that stall in scoring past
+// -request-timeout get 503 while good requests are decoded and scored
+// alongside them. Each request owns its decoded rows: every 200 must
+// carry the sequential-scan answer for its own rows, and under -race
+// rows shared between requests would be reported as a race.
 func TestOrphanedStridesKeepRows(t *testing.T) {
 	dir := t.TempDir()
 	path, m := saveFixtureModel(t, dir, 16)
-	const batch = 4
-	release := make(chan struct{})
+	const stalledRows = 13
 	ts, _ := hardTestServer(t, path, serve.Options{
-		Workers:   4,
-		BatchSize: batch,
-		// Only the stalled requests have a one-row stride; it blocks
-		// its worker until released.
+		// Only the stalled requests score a 13-row stride; it sleeps
+		// past the request timeout.
 		ScoreHook: func(rows int) {
-			if rows == 1 {
-				<-release
+			if rows == stalledRows {
+				time.Sleep(150 * time.Millisecond)
 			}
 		},
 	}, handlerOptions{RequestTimeout: 50 * time.Millisecond})
 
-	// Three stalled requests pin three of the four workers.
-	stalled := make([]map[string]any, 3*batch+1)
+	stalled := make([]map[string]any, stalledRows)
 	for i := range stalled {
 		stalled[i] = map[string]any{"features": []float64{float64(i), -1, 2}}
 	}
-	for i := 0; i < 3; i++ {
-		resp, data := postJSON(t, ts.URL+"/v1/assign", map[string]any{"rows": stalled})
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("stalled request %d = %d %s, want 503", i, resp.StatusCode, data)
-		}
+	stalledBody, err := json.Marshal(map[string]any{"rows": stalled})
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	// Good traffic on the remaining worker; the stalled strides are
-	// released part-way through, so they read their rows while good
-	// requests are in flight.
+	// Stalled posters and good posters run at the same time, so the
+	// stalled requests are scoring while good ones are decoded and
+	// scored.
+	const stallers, perStaller = 3, 3
 	const posters, perPoster = 3, 20
 	var ok, unavailable atomic.Int64
 	var wg sync.WaitGroup
+	for g := 0; g < stallers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < perStaller; r++ {
+				resp, err := http.Post(ts.URL+"/v1/assign", "application/json", bytes.NewReader(stalledBody))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				data, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if resp.StatusCode != http.StatusServiceUnavailable {
+					t.Errorf("stalled request = %d %s, want 503", resp.StatusCode, data)
+				}
+			}
+		}()
+	}
 	for g := 0; g < posters; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for r := 0; r < perPoster; r++ {
-				rows := make([]map[string]any, 2*batch)
+				rows := make([]map[string]any, 8)
 				xs := make([][]float64, len(rows))
 				for j := range rows {
 					xs[j] = []float64{float64(g) - float64(j)*0.25, float64(r) * 0.1, float64(j%3) - 1}
@@ -352,9 +376,6 @@ func TestOrphanedStridesKeepRows(t *testing.T) {
 					unavailable.Add(1)
 				} else {
 					ok.Add(1)
-				}
-				if g == 0 && r == perPoster/4 {
-					close(release)
 				}
 			}
 		}(g)

@@ -6,7 +6,6 @@
 // Usage:
 //
 //	fairserved -model m.json [-model more.json ...] [-addr :8080]
-//	           [-batch 64] [-workers N]
 //	           [-max-concurrent N [-max-queue N] [-queue-budget 50ms]]
 //	           [-request-timeout 0] [-max-body 33554432]
 //	           [-shutdown-timeout 10s] [-debug-addr ""]
@@ -42,7 +41,7 @@
 // and are entirely off by default.
 //
 // SIGINT/SIGTERM shut the server down gracefully: the listener closes,
-// in-flight requests complete, worker pools drain.
+// in-flight requests complete.
 package main
 
 import (
@@ -93,10 +92,7 @@ func serveCtx(ctx context.Context, args []string, out io.Writer) error {
 	var models modelList
 	fs.Var(&models, "model", "model artifact to serve, as PATH or NAME=PATH (repeatable; first is the default model)")
 	var (
-		addr    = fs.String("addr", ":8080", "listen address")
-		batch   = fs.Int("batch", 0, "micro-batch size per worker task (0 = 64)")
-		workers = fs.Int("workers", 0, "scoring workers per model (0 = GOMAXPROCS)")
-
+		addr        = fs.String("addr", ":8080", "listen address")
 		maxConc     = fs.Int("max-concurrent", 0, "max concurrent batches per model (0 = unlimited, no admission control)")
 		maxQueue    = fs.Int("max-queue", 0, "admission queue depth per model before shedding (0 = default, requires -max-concurrent)")
 		queueBudget = fs.Duration("queue-budget", 0, "shed when estimated queue wait exceeds this (0 = queue-depth limit only, requires -max-concurrent)")
@@ -136,8 +132,6 @@ func serveCtx(ctx context.Context, args []string, out io.Writer) error {
 
 	ts := newTelemetryState()
 	reg := serve.NewRegistry(serve.Options{
-		BatchSize:     *batch,
-		Workers:       *workers,
 		MaxConcurrent: *maxConc,
 		MaxQueue:      *maxQueue,
 		QueueBudget:   *queueBudget,
@@ -395,9 +389,6 @@ func handleAssign(reg *serve.Registry, opts handlerOptions, w http.ResponseWrite
 	if single {
 		rows = []assignRow{{Features: req.Features, Sensitive: req.Sensitive}}
 	}
-	// The decoded rows belong to this request alone and are never
-	// recycled: after a mid-batch deadline, orphaned strides may still
-	// be reading them when the 503 goes out.
 	features := make([][]float64, len(rows))
 	var sensitive []map[string]string
 	for i, row := range rows {
@@ -441,18 +432,15 @@ func handleAssign(reg *serve.Registry, opts handlerOptions, w http.ResponseWrite
 	writeAssignResponse(w, e.Name, e.Generation, clusters, dists)
 }
 
-// writeAssignResponse sends a 200 /v1/assign reply, encoded by
-// appendAssignResponse into a buffer sized for the reply.
+// writeAssignResponse sends the /v1/assign reply, encoded by
+// appendAssignResponse into a buffer sized for the reply. A distance
+// that is not finite (features so large the squared distance
+// overflows) has no JSON number form, so the request gets a 400
+// instead.
 func writeAssignResponse(w http.ResponseWriter, name string, generation int, clusters []int, dists []float64) {
 	b, ok := appendAssignResponse(make([]byte, 0, 64+48*len(clusters)), name, generation, clusters, dists)
 	if !ok {
-		// A non-finite distance has no JSON number form; keep
-		// encoding/json's handling of it.
-		resp := assignResponse{Model: name, Generation: generation, Assignments: make([]assignment, len(clusters))}
-		for i, c := range clusters {
-			resp.Assignments[i] = assignment{Cluster: c, Distance: dists[i]}
-		}
-		writeJSON(w, http.StatusOK, resp)
+		httpError(w, http.StatusBadRequest, "a squared distance is not finite; features are too large to score")
 		return
 	}
 	h := w.Header()

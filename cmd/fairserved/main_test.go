@@ -49,7 +49,7 @@ func saveFixtureModel(t *testing.T, dir string, seed int64) (string, *model.Mode
 // the real serveCtx uses.
 func newTestServer(t *testing.T, path string) (*httptest.Server, *serve.Registry) {
 	t.Helper()
-	srv, reg, _ := newTelemetryTestServer(t, path, serve.Options{Workers: 2, BatchSize: 16}, handlerOptions{})
+	srv, reg, _ := newTelemetryTestServer(t, path, serve.Options{}, handlerOptions{})
 	return srv, reg
 }
 
@@ -485,7 +485,6 @@ func TestMetricsP99AgreesWithLoad(t *testing.T) {
 	dir := t.TempDir()
 	path, m := saveFixtureModel(t, dir, 21)
 	ts, reg, _ := newTelemetryTestServer(t, path, serve.Options{
-		Workers:   4,
 		ScoreHook: func(rows int) { time.Sleep(time.Millisecond) },
 	}, handlerOptions{})
 

@@ -16,7 +16,7 @@ import (
 // buckets instead of two pre-computed quantiles).
 const (
 	stageFamily = "fairserved_request_stage_seconds"
-	stageHelp   = "Per-stage request latency (admission wait, queue residency, micro-batch scoring, total), OK requests only."
+	stageHelp   = "Per-stage request latency (admission wait, queue residency, scoring, total), OK requests only."
 
 	latencyFamily = "fairserved_request_latency_seconds"
 	latencyHelp   = "Accepted-request latency since model install."

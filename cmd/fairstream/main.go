@@ -80,7 +80,6 @@ func run(args []string, out io.Writer) (retErr error) {
 		skipEval     = fs.Bool("skip-eval", false, "skip the second full-data metrics pass")
 		telem        = fs.String("telemetry", "", "write a JSONL run journal of the summary solve to this path")
 		saveOut      = fs.String("save", "", "write the trained model artifact (centroids, λ, domains, scaling, provenance) to this path; serve it with fairserved")
-		centsOut     = fs.String("centroids", "", "deprecated alias for -save (the CSV export lost the categorical domains and λ; the artifact keeps them)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -241,12 +240,6 @@ func run(args []string, out io.Writer) (retErr error) {
 		res.Solve.Objective, res.Solve.KMeansTerm, res.Solve.FairnessTerm)
 	fmt.Fprintf(out, "  cluster masses: %s\n", formatMasses(res.Solve.Masses))
 
-	if *centsOut != "" {
-		fmt.Fprintf(out, "warning: -centroids is a deprecated alias for -save; the artifact replaces the lossy centroid CSV\n")
-		if *saveOut == "" {
-			*saveOut = *centsOut
-		}
-	}
 	if *saveOut != "" {
 		art, err := model.New(res.Summary, res.SummaryWeights, res.Solve, model.Provenance{
 			Tool: "fairstream", Seed: *seed, Rows: res.N,

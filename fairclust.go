@@ -52,7 +52,7 @@
 //	a, err := fairclust.NewAssigner(m, fairclust.AssignerOptions{})
 //	clusters, dists, err := a.AssignBatch(rows, nil)
 //
-// Results are deterministic for every worker count and batch size.
+// Results are identical to a sequential nearest-centroid scan.
 // cmd/fairserved exposes the same stack over HTTP with atomic
 // hot-swap, latency quantiles and fairness-drift reports.
 //
@@ -71,8 +71,9 @@
 //     sharded data-parallel ingestion and a deterministic merge
 //   - internal/model — the persistent model artifact (deterministic
 //     JSON codec, Save/Load, domain snapshots, provenance)
-//   - internal/serve — the serving subsystem: micro-batching assigner
-//     pool, hot-swap registry, latency and fairness-drift tracking
+//   - internal/serve — the serving subsystem: inline-scoring assigner,
+//     admission control, hot-swap registry, latency and fairness-drift
+//     tracking
 //   - internal/kmeans — classical K-Means on the engine (the S-blind
 //     baseline), with a weighted variant for coresets
 //   - internal/zgya — the ZGYA fair-clustering baseline [Ziko et al.
@@ -308,12 +309,12 @@ type ModelProvenance = model.Provenance
 type ModelScaling = model.Scaling
 
 // Assigner answers single and batch nearest-centroid queries for one
-// model through a micro-batching worker pool, tracking latency and
-// fairness drift. Results are deterministic for every pool
-// configuration.
+// model, scoring each request on the caller's goroutine and tracking
+// latency and fairness drift. Results are identical to a sequential
+// scan.
 type Assigner = serve.Assigner
 
-// AssignerOptions configures the Assigner's worker pool and, when
+// AssignerOptions configures the Assigner's span tracing and, when
 // MaxConcurrent is set, its admission control (bounded queue +
 // wait-budget load shedding).
 type AssignerOptions = serve.Options
@@ -340,7 +341,7 @@ func SaveModel(path string, m *Model) error { return model.Save(path, m) }
 // model reproduces the saved model's assignments bit-for-bit.
 func LoadModel(path string) (*Model, error) { return model.Load(path) }
 
-// NewAssigner starts a serving assigner for a model.
+// NewAssigner builds a serving assigner for a model.
 func NewAssigner(m *Model, opts AssignerOptions) (*Assigner, error) {
 	return serve.NewAssigner(m, opts)
 }

@@ -327,11 +327,10 @@ func TestPublicModelServing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a, err := fairclust.NewAssigner(loaded, fairclust.AssignerOptions{Workers: 2, BatchSize: 8})
+	a, err := fairclust.NewAssigner(loaded, fairclust.AssignerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Close()
 	got, _, err := a.AssignBatch(ds.Features, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -112,13 +112,18 @@ type Result struct {
 func (r *Result) K() int { return len(r.Centroids) }
 
 // lloyd is the K-Means objective for the descent engine: assignments
-// plus centroids frozen at the iteration start. Scoring is the classic
-// nearest-frozen-centroid rule; Move only updates the assignment —
-// centroids are re-derived from scratch on every Freeze, exactly like
-// the textbook recompute step (and bit-identical to the pre-engine
-// loop, which never kept incremental sums).
+// plus centroids frozen at the iteration start, over rows of unit mass
+// (weights nil, Run) or weighted rows (RunWeighted). Scoring is the
+// classic nearest-frozen-centroid rule, which is mass-independent — a
+// weighted row goes wherever its w duplicates would all go. Move only
+// updates the assignment; centroids are re-derived from scratch on
+// every Freeze, exactly like the textbook recompute step. Delta and
+// Value carry each row's mass; with unit mass every w·x is an
+// IEEE-754 no-op, so the two entry points share every bit of
+// arithmetic.
 type lloyd struct {
 	features [][]float64
+	weights  []float64 // nil → unit mass
 	k        int
 	assign   []int
 	frozen   [][]float64
@@ -132,16 +137,21 @@ func (l *lloyd) Move(i, from, to int)     { l.assign[i] = to }
 func (l *lloyd) BestMove(i, from int) int { return l.nearest(i) }
 func (l *lloyd) Delta(i, from, to int) float64 {
 	x := l.features[i]
-	return stats.SqDist(x, l.frozen[to]) - stats.SqDist(x, l.frozen[from])
+	d := stats.SqDist(x, l.frozen[to]) - stats.SqDist(x, l.frozen[from])
+	if l.weights != nil {
+		d *= l.weights[i]
+	}
+	return d
 }
 
-// Value is the SSE against the frozen centroids — the quantity the Tol
-// policy compares between iterations.
-func (l *lloyd) Value() float64 { return SSE(l.features, l.assign, l.frozen) }
+// Value is the (weighted) SSE against the frozen centroids — the
+// quantity the Tol policy compares between iterations.
+func (l *lloyd) Value() float64 { return WeightedSSE(l.features, l.weights, l.assign, l.frozen) }
 
 // nearest applies the shared nearestCentroid rule against the frozen
 // centroids, through the Hamerly pruner when one is attached (the
-// pruned result is bit-identical; see prune.go).
+// pruned result is bit-identical; see prune.go; bounds are plain
+// Euclidean distances, so weights never enter the decision).
 func (l *lloyd) nearest(i int) int {
 	if l.prune != nil {
 		return l.prune.bestMove(i, l.assign[i], l.frozen)
@@ -156,7 +166,7 @@ func (l *lloyd) NewSnapshot() engine.Snapshot { return (*lloydSnap)(l) }
 type lloydSnap lloyd
 
 func (s *lloydSnap) Freeze() {
-	s.frozen = computeCentroids(s.features, s.assign, s.k)
+	s.frozen = centroids(s.features, s.weights, s.assign, s.k)
 	if s.prune != nil {
 		s.prune.refresh(s.frozen, s.assign)
 	}
@@ -167,22 +177,45 @@ func (s *lloydSnap) BestMove(i, from int) int { return (*lloyd)(s).nearest(i) }
 // Run clusters the given feature rows. It returns an error for invalid
 // configurations (K out of range, ragged or empty input).
 func Run(features [][]float64, cfg Config) (*Result, error) {
+	if err := validate(features, cfg); err != nil {
+		return nil, err
+	}
+	return run(features, nil, cfg), nil
+}
+
+// validate checks the input shape and configuration shared by Run and
+// RunWeighted.
+func validate(features [][]float64, cfg Config) error {
 	n := len(features)
 	if n == 0 {
-		return nil, errors.New("kmeans: empty dataset")
+		return errors.New("kmeans: empty dataset")
 	}
 	dim := len(features[0])
 	for i, row := range features {
 		if len(row) != dim {
-			return nil, fmt.Errorf("kmeans: row %d has %d features, want %d", i, len(row), dim)
+			return fmt.Errorf("kmeans: row %d has %d features, want %d", i, len(row), dim)
 		}
 	}
 	if cfg.K < 1 || cfg.K > n {
-		return nil, fmt.Errorf("kmeans: K=%d out of range [1,%d]", cfg.K, n)
+		return fmt.Errorf("kmeans: K=%d out of range [1,%d]", cfg.K, n)
 	}
-	if err := validateInitCentroids(&cfg, dim); err != nil {
-		return nil, err
+	if cfg.InitCentroids == nil {
+		return nil
 	}
+	if len(cfg.InitCentroids) != cfg.K {
+		return fmt.Errorf("kmeans: %d initial centroids for K=%d", len(cfg.InitCentroids), cfg.K)
+	}
+	for c, cen := range cfg.InitCentroids {
+		if len(cen) != dim {
+			return fmt.Errorf("kmeans: initial centroid %d has %d features, want %d", c, len(cen), dim)
+		}
+	}
+	return nil
+}
+
+// run is the engine-driven Lloyd iteration behind Run (weights nil)
+// and RunWeighted, on validated input.
+func run(features [][]float64, weights []float64, cfg Config) *Result {
 	maxIter := cfg.MaxIter
 	if maxIter <= 0 {
 		maxIter = DefaultMaxIter
@@ -194,8 +227,9 @@ func Run(features [][]float64, cfg Config) (*Result, error) {
 
 	obj := &lloyd{
 		features: features,
+		weights:  weights,
 		k:        cfg.K,
-		assign:   initialAssign(features, nil, &cfg),
+		assign:   initialAssign(features, weights, &cfg),
 	}
 	if !cfg.FullScan {
 		obj.prune = newPruner(features)
@@ -213,10 +247,10 @@ func Run(features [][]float64, cfg Config) (*Result, error) {
 		Iterations: er.Iterations,
 		Converged:  er.Converged,
 	}
-	res.Centroids = computeCentroids(features, obj.assign, cfg.K)
+	res.Centroids = centroids(features, weights, obj.assign, cfg.K)
 	res.Sizes = Sizes(obj.assign, cfg.K)
-	res.Objective = SSE(features, obj.assign, res.Centroids)
-	return res, nil
+	res.Objective = WeightedSSE(features, weights, obj.assign, res.Centroids)
+	return res
 }
 
 // PlusPlusCentroids returns k centroids chosen by the k-means++
@@ -225,69 +259,55 @@ func PlusPlusCentroids(features [][]float64, k int, rng *stats.RNG) [][]float64 
 	return engine.PlusPlusCentroids(features, k, rng)
 }
 
-// validateInitCentroids checks the InitCentroids override shape.
-func validateInitCentroids(cfg *Config, dim int) error {
-	if cfg.InitCentroids == nil {
-		return nil
-	}
-	if len(cfg.InitCentroids) != cfg.K {
-		return fmt.Errorf("kmeans: %d initial centroids for K=%d", len(cfg.InitCentroids), cfg.K)
-	}
-	for c, cen := range cfg.InitCentroids {
-		if len(cen) != dim {
-			return fmt.Errorf("kmeans: initial centroid %d has %d features, want %d", c, len(cen), dim)
-		}
-	}
-	return nil
-}
-
-// initialAssign produces the starting partition for Run (weights nil)
-// and RunWeighted: nearest-centroid against the InitCentroids override
-// when present, otherwise the engine's (weighted) initializer.
+// initialAssign produces the starting partition: nearest-centroid
+// against the InitCentroids override when present, otherwise the
+// engine's (mass-weighted) initializer.
 func initialAssign(features [][]float64, weights []float64, cfg *Config) []int {
 	if cfg.InitCentroids != nil {
 		assign := make([]int, len(features))
-		assignAll(features, cfg.InitCentroids, assign)
+		for i, x := range features {
+			assign[i] = nearestCentroid(x, cfg.InitCentroids)
+		}
 		return assign
 	}
 	return engine.InitAssignmentWeighted(features, weights, cfg.K, cfg.Init, stats.NewRNG(cfg.Seed))
 }
 
-// assignAll reassigns every point to its nearest centroid, returning how
-// many assignments changed (still used by the weighted variant).
-func assignAll(features [][]float64, centroids [][]float64, assign []int) int {
-	changed := 0
-	for i, x := range features {
-		best, bestD := 0, math.Inf(1)
-		for c, cen := range centroids {
-			if d := stats.SqDist(x, cen); d < bestD {
-				best, bestD = c, d
-			}
-		}
-		if assign[i] != best {
-			assign[i] = best
-			changed++
+// nearestCentroid is the assignment rule of every Lloyd step: all K
+// centroids are candidates (including zero-vector centroids of empty
+// clusters), ties keep the lowest cluster index.
+func nearestCentroid(x []float64, centroids [][]float64) int {
+	best, bestD := 0, math.Inf(1)
+	for c, cen := range centroids {
+		if d := stats.SqDist(x, cen); d < bestD {
+			best, bestD = c, d
 		}
 	}
-	return changed
+	return best
 }
 
-// computeCentroids returns the per-cluster feature means. Empty clusters
-// get zero vectors.
-func computeCentroids(features [][]float64, assign []int, k int) [][]float64 {
+// centroids returns the per-cluster (weighted) feature means; weights
+// nil means unit mass. Empty clusters get zero vectors. Unit mass is
+// bit-identical to a plain sum and count: 1·v is exact, and the mass
+// accumulates the same integer the row count would.
+func centroids(features [][]float64, weights []float64, assign []int, k int) [][]float64 {
 	dim := len(features[0])
 	sums := make([][]float64, k)
 	for c := range sums {
 		sums[c] = make([]float64, dim)
 	}
-	counts := make([]int, k)
+	mass := make([]float64, k)
 	for i, x := range features {
-		stats.AddTo(sums[assign[i]], x)
-		counts[assign[i]]++
+		w := 1.0
+		if weights != nil {
+			w = weights[i]
+		}
+		stats.AddScaledTo(sums[assign[i]], x, w)
+		mass[assign[i]] += w
 	}
 	for c := range sums {
-		if counts[c] > 0 {
-			stats.Scale(sums[c], 1/float64(counts[c]))
+		if mass[c] > 0 {
+			stats.Scale(sums[c], 1/mass[c])
 		}
 	}
 	return sums
@@ -296,15 +316,25 @@ func computeCentroids(features [][]float64, assign []int, k int) [][]float64 {
 // Centroids exposes centroid computation for other packages (metrics,
 // FairKM tests).
 func Centroids(features [][]float64, assign []int, k int) [][]float64 {
-	return computeCentroids(features, assign, k)
+	return centroids(features, nil, assign, k)
 }
 
 // SSE returns the K-Means objective: the summed squared distance of each
 // point to its cluster centroid (Eq. 24).
 func SSE(features [][]float64, assign []int, centroids [][]float64) float64 {
+	return WeightedSSE(features, nil, assign, centroids)
+}
+
+// WeightedSSE returns the weighted K-Means objective
+// Σ_i w_i·‖x_i − μ_{assign(i)}‖²; weights nil means unit mass (SSE).
+func WeightedSSE(features [][]float64, weights []float64, assign []int, centroids [][]float64) float64 {
 	s := 0.0
 	for i, x := range features {
-		s += stats.SqDist(x, centroids[assign[i]])
+		d := stats.SqDist(x, centroids[assign[i]])
+		if weights != nil {
+			d *= weights[i]
+		}
+		s += d
 	}
 	return s
 }

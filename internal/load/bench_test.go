@@ -19,8 +19,6 @@ func BenchmarkLoad(b *testing.B) {
 	for _, rate := range []float64{500, 2000, 8000} {
 		b.Run(fmt.Sprintf("rate=%v", rate), func(b *testing.B) {
 			reg := newRegistry(b, serve.Options{
-				Workers:       2,
-				BatchSize:     64,
 				MaxConcurrent: 4,
 				MaxQueue:      32,
 				QueueBudget:   slo / 2,

@@ -209,7 +209,7 @@ func TestOpenLoopIndependentOfServerSpeed(t *testing.T) {
 // rows are counted, and the latency histogram covers exactly the
 // accepted requests.
 func TestRunRegistryTarget(t *testing.T) {
-	reg := newRegistry(t, serve.Options{Workers: 2, BatchSize: 32}, 4)
+	reg := newRegistry(t, serve.Options{}, 4)
 	w, err := Build(Config{Rate: 2000, Requests: 400, Seed: 11, Dim: 4, Models: []string{"prod"}, SLO: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +261,7 @@ func TestRunRegistryTarget(t *testing.T) {
 // TestRunCancel stops the pacer mid-schedule: remaining requests count
 // as unsent, in-flight ones still complete.
 func TestRunCancel(t *testing.T) {
-	reg := newRegistry(t, serve.Options{Workers: 1}, 4)
+	reg := newRegistry(t, serve.Options{}, 4)
 	w, err := Build(Config{Rate: 100, Requests: 1000, Seed: 3, Dim: 4, Models: []string{"prod"}})
 	if err != nil {
 		t.Fatal(err)
@@ -276,20 +276,20 @@ func TestRunCancel(t *testing.T) {
 
 // TestShedDontCollapse is the acceptance pin for the overload story,
 // run under -race in CI: an in-process fairserved registry with a
-// stalled-worker fault injected must shed traffic (429s rise) while the
+// stalled-request fault injected must shed traffic (429s rise) while the
 // p99 of ACCEPTED requests stays inside the latency budget — the
 // admission gate converts overload into fast rejections instead of an
 // unbounded queue.
 func TestShedDontCollapse(t *testing.T) {
 	const (
 		serviceDelay = 5 * time.Millisecond   // per-request scoring cost under fault
-		stallFor     = 700 * time.Millisecond // one worker wedges for the whole run
+		stallFor     = 700 * time.Millisecond // one request wedges its slot for the whole run
 		slo          = 150 * time.Millisecond
 	)
 	var stalled atomic.Bool
 	hook := func(rows int) {
 		if stalled.CompareAndSwap(false, true) {
-			time.Sleep(stallFor) // the injected fault: a wedged worker
+			time.Sleep(stallFor) // the injected fault: a wedged stride
 			return
 		}
 		time.Sleep(serviceDelay)
@@ -297,8 +297,6 @@ func TestShedDontCollapse(t *testing.T) {
 	ds := testfix.Synth(23, 240, 4, 1, 0)
 	m := trainModel(t, ds, 4, 7)
 	reg := serve.NewRegistry(serve.Options{
-		Workers:       2,
-		BatchSize:     64,
 		MaxConcurrent: 2,
 		MaxQueue:      8,
 		QueueBudget:   25 * time.Millisecond,

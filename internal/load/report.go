@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/cli"
+	"repro/internal/telemetry"
 )
 
 // SecondStats is one second of the run, bucketed by completion time.
@@ -57,7 +58,7 @@ type Report struct {
 
 	// Latency is the accepted-request latency distribution. Shed and
 	// expired requests are counted above, never mixed into it.
-	Latency Summary `json:"latency"`
+	Latency telemetry.Summary `json:"latency"`
 
 	// Seconds is the per-second throughput/outcome series.
 	Seconds []SecondStats `json:"seconds"`
@@ -74,7 +75,7 @@ type Report struct {
 type collector struct {
 	mu      sync.Mutex
 	rep     Report
-	hist    Histogram
+	hist    telemetry.Histogram
 	seconds map[int]*SecondStats
 }
 

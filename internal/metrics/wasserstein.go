@@ -5,9 +5,11 @@ import (
 	"math"
 )
 
-// wassersteinMassTol bounds how far Σp and Σq may drift apart before
-// Wasserstein1 rejects the pair as comparing different masses.
-const wassersteinMassTol = 1e-9
+// MassTol bounds how far Σp and Σq may drift apart before Wasserstein1
+// rejects the pair as comparing different masses. model.Validate
+// applies the same bound to artifacts, so a valid artifact never
+// reaches the panic.
+const MassTol = 1e-9
 
 // Wasserstein1 returns the 1-Wasserstein (earth mover's) distance
 // between two measures over the same ordered finite domain, with unit
@@ -39,7 +41,7 @@ func Wasserstein1(p, q []float64) float64 {
 		sp += p[i]
 		sq += q[i]
 	}
-	if math.Abs(sp-sq) > wassersteinMassTol {
+	if math.Abs(sp-sq) > MassTol {
 		panic(fmt.Sprintf("metrics: Wasserstein1 mass mismatch: Σp=%v vs Σq=%v", sp, sq))
 	}
 	cum := 0.0

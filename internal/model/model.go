@@ -43,6 +43,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/metrics"
 	"repro/internal/stats"
 )
 
@@ -316,6 +317,7 @@ func (m *Model) Validate() error {
 		}
 	}
 	for ai, s := range m.Sensitive {
+		train := 0.0 // Σ TrainFractions of a categorical attribute
 		switch s.Kind {
 		case KindCategorical:
 			if len(s.Values) == 0 {
@@ -335,6 +337,7 @@ func (m *Model) Validate() error {
 				if !isFinite(f) {
 					return fmt.Errorf("model: attribute %q has non-finite train fraction", s.Name)
 				}
+				train += f
 			}
 		case KindNumeric:
 			if len(s.Values) != 0 || len(s.TrainFractions) != 0 {
@@ -357,9 +360,19 @@ func (m *Model) Validate() error {
 			if got := len(m.Clusters[c].Distributions[ai]); got != want {
 				return fmt.Errorf("model: cluster %d attribute %q distribution has %d entries, want %d", c, s.Name, got, want)
 			}
+			total := 0.0
 			for _, p := range m.Clusters[c].Distributions[ai] {
 				if !isFinite(p) {
 					return fmt.Errorf("model: cluster %d attribute %q has a non-finite distribution entry", c, s.Name)
+				}
+				total += p
+			}
+			// The drift tracker compares every populated cluster's
+			// distribution with the training fractions by Wasserstein1,
+			// which needs equal masses.
+			if s.Kind == KindCategorical && m.Clusters[c].Mass > 0 {
+				if math.Abs(total-train) > metrics.MassTol {
+					return fmt.Errorf("model: cluster %d attribute %q distribution sums to %v, train fractions to %v", c, s.Name, total, train)
 				}
 			}
 		}

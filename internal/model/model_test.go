@@ -243,6 +243,33 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsMassMismatch: a populated cluster whose
+// categorical distribution does not sum to the training fractions'
+// total is rejected, so serving never feeds it to Wasserstein1 (which
+// panics on unequal masses). Taking 0.005 off one entry keeps every
+// entry finite and in range.
+func TestValidateRejectsMassMismatch(t *testing.T) {
+	ds := testfix.Synth(4, 100, 2, 1, 0)
+	_, m := train(t, ds, 2)
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	ai := m.CategoricalAttrs()[0]
+	c := 0
+	for m.Clusters[c].Mass == 0 {
+		c++
+	}
+	dist := m.Clusters[c].Distributions[ai]
+	v := 0
+	for dist[v] < 0.005 {
+		v++
+	}
+	dist[v] -= 0.005
+	if err := m.Validate(); err == nil || !strings.Contains(err.Error(), "sums to") {
+		t.Errorf("Validate = %v, want a distribution mass error", err)
+	}
+}
+
 func TestScalingApply(t *testing.T) {
 	ds := testfix.Synth(9, 200, 3, 1, 0)
 	mins, ranges := ds.MinMaxNormalize()

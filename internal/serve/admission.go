@@ -48,10 +48,11 @@ func IsShed(err error) bool {
 // a new arrival would see if every queued request takes about as long
 // as recent ones did.
 //
-// The gate bounds *requests*, not pool workers: a request that gives up
-// on its deadline releases its slot even if a stalled micro-batch still
-// pins a pool goroutine, so capacity degrades gracefully instead of
-// deadlocking behind a fault.
+// A slot is held for the whole request, which scores on its own
+// goroutine. A request whose deadline passes mid-batch gives its slot
+// back at the next stride boundary, after at most one stride of pure
+// compute; scoring does no I/O, so nothing else can hold a slot past
+// its deadline.
 type gate struct {
 	slots    chan struct{}
 	maxQueue int64
@@ -68,9 +69,13 @@ func newGate(o Options) *gate {
 	if o.MaxConcurrent <= 0 {
 		return nil
 	}
+	maxQueue := o.MaxQueue
+	if maxQueue <= 0 {
+		maxQueue = DefaultMaxQueue
+	}
 	return &gate{
 		slots:    make(chan struct{}, o.MaxConcurrent),
-		maxQueue: int64(o.MaxQueue),
+		maxQueue: int64(maxQueue),
 		budget:   o.QueueBudget,
 	}
 }

@@ -3,9 +3,11 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,7 +28,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // stallGate is a ScoreHook that blocks every scoring task until
-// released — the canonical stalled-worker fault.
+// released — the canonical stalled-scoring fault.
 type stallGate struct {
 	entered chan struct{} // one token per task that reached the hook
 	release chan struct{} // closed to un-stall everything
@@ -49,7 +51,6 @@ func TestAdmissionQueueFullSheds(t *testing.T) {
 	m := trainModel(t, ds, 3, 1)
 	stall := newStallGate()
 	a, err := NewAssigner(m, Options{
-		Workers:       1,
 		MaxConcurrent: 1,
 		MaxQueue:      1,
 		ScoreHook:     stall.hook,
@@ -57,7 +58,6 @@ func TestAdmissionQueueFullSheds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Close()
 	want := sequential(m, ds.Features[:4])
 
 	type result struct {
@@ -116,7 +116,6 @@ func TestAdmissionDeadlineWhileQueued(t *testing.T) {
 	m := trainModel(t, ds, 3, 2)
 	stall := newStallGate()
 	a, err := NewAssigner(m, Options{
-		Workers:       1,
 		MaxConcurrent: 1,
 		MaxQueue:      8,
 		ScoreHook:     stall.hook,
@@ -124,7 +123,6 @@ func TestAdmissionDeadlineWhileQueued(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Close()
 
 	done := make(chan error, 1)
 	go func() {
@@ -175,7 +173,6 @@ func TestAdmissionBudgetSheds(t *testing.T) {
 		time.Sleep(30 * time.Millisecond) // seed the EWMA well above budget
 	}
 	a, err := NewAssigner(m, Options{
-		Workers:       1,
 		MaxConcurrent: 1,
 		MaxQueue:      64,
 		QueueBudget:   5 * time.Millisecond,
@@ -184,7 +181,6 @@ func TestAdmissionBudgetSheds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Close()
 
 	// First request completes in ~30ms, seeding the service-time EWMA.
 	if _, _, err := a.AssignBatch(ds.Features[:4], nil); err != nil {
@@ -216,26 +212,19 @@ func TestAdmissionBudgetSheds(t *testing.T) {
 	}
 }
 
-// TestDeadlineMidBatchPooled: a pooled batch whose context expires
-// mid-flight returns DeadlineExceeded promptly — even though one
-// micro-batch is still pinned on a stalled worker — and the orphaned
-// task drains without racing Close.
-func TestDeadlineMidBatchPooled(t *testing.T) {
+// TestDeadlineMidBatch: a batch whose deadline passes while a stride
+// is scoring stops at the next stride boundary. The first stride's
+// hook sleeps past the deadline; the request must fail with
+// DeadlineExceeded and no partial results, and no stride after the
+// boundary may be scored.
+func TestDeadlineMidBatch(t *testing.T) {
 	ds := testfix.Synth(9, 300, 4, 1, 0)
 	m := trainModel(t, ds, 4, 4)
-	stall := newStallGate()
-	first := true
-	var mu sync.Mutex
+	var strides atomic.Int64
 	a, err := NewAssigner(m, Options{
-		Workers:   2,
-		BatchSize: 16,
 		ScoreHook: func(rows int) {
-			mu.Lock()
-			f := first
-			first = false
-			mu.Unlock()
-			if f {
-				stall.hook(rows) // first micro-batch stalls hard
+			if strides.Add(1) == 1 {
+				time.Sleep(150 * time.Millisecond)
 			}
 		},
 	})
@@ -245,68 +234,51 @@ func TestDeadlineMidBatchPooled(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	start := time.Now()
-	_, _, err = a.AssignBatchCtx(ctx, ds.Features, nil)
+	out, dists, err := a.AssignBatchCtx(ctx, ds.Features, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("stalled batch got %v, want DeadlineExceeded", err)
 	}
-	if waited := time.Since(start); waited > 3*time.Second {
-		t.Errorf("request stuck %v behind a stalled worker; deadline should free it", waited)
+	if out != nil || dists != nil {
+		t.Errorf("expired batch returned results (%d labels, %d distances)", len(out), len(dists))
 	}
-	if st := a.Stats(); st.Deadline != 1 {
-		t.Errorf("Deadline = %d, want 1", st.Deadline)
+	if st := a.Stats(); st.Deadline != 1 || st.Requests != 0 {
+		t.Errorf("stats = %+v, want Deadline 1 / Requests 0", st)
 	}
-
-	// Un-stall and close: the orphaned micro-batch must drain cleanly.
-	close(stall.release)
-	a.Close()
-
-	// A fresh assigner still serves correct results (no shared damage).
-	b, err := NewAssigner(m, Options{Workers: 2, BatchSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	got, _, err := b.AssignBatch(ds.Features, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, sequential(m, ds.Features)) {
-		t.Error("post-fault labelling differs from sequential scan")
+	if n := strides.Load(); n != 1 {
+		t.Errorf("%d strides scored, want 1: the deadline must stop the batch at the first boundary", n)
 	}
 }
 
 // TestGatedDeterminism: admission control must never change what a row
 // scores against — gated results are identical to the ungated
-// sequential scan for every pool shape.
+// sequential scan for every batch size, under concurrent clients.
 func TestGatedDeterminism(t *testing.T) {
 	ds := testfix.Synth(11, 400, 5, 2, 0)
 	m := trainModel(t, ds, 5, 5)
-	want := sequential(m, ds.Features)
-	for _, workers := range []int{1, 4} {
-		a, err := NewAssigner(m, Options{
-			Workers:       workers,
-			BatchSize:     32,
-			MaxConcurrent: 2,
-			MaxQueue:      4,
-			QueueBudget:   time.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	a, err := NewAssigner(m, Options{
+		MaxConcurrent: 2,
+		MaxQueue:      4,
+		QueueBudget:   time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range batchSizes {
+		rows := queryRows(ds, n)
+		want := sequential(m, rows)
 		var wg sync.WaitGroup
 		errs := make(chan error, 8)
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got, _, err := a.AssignBatchCtx(context.Background(), ds.Features, nil)
+				got, _, err := a.AssignBatchCtx(context.Background(), rows, nil)
 				if err != nil {
 					errs <- err
 					return
 				}
 				if !reflect.DeepEqual(got, want) {
-					errs <- errors.New("gated labelling differs from sequential scan")
+					errs <- fmt.Errorf("n=%d: gated labelling differs from sequential scan", n)
 				}
 			}()
 		}
@@ -320,6 +292,5 @@ func TestGatedDeterminism(t *testing.T) {
 				t.Error(err)
 			}
 		}
-		a.Close()
 	}
 }

@@ -9,8 +9,8 @@ import (
 
 // TestHotPathAllocs pins the steady-state allocation budget of the
 // serving hot paths. AssignBatch may allocate only its two result
-// slices (labels + distances); the pool machinery (jobs, scratch,
-// worker wakeups) must come from sync.Pools after warm-up. Assign
+// slices (labels + distances); the search scratch must come from its
+// sync.Pool after warm-up. Assign
 // must be allocation-free when the caller supplies no gate. A
 // regression here shows up long before it shows up in ns/op — GC
 // pressure under open-loop load is what breaks the SLO tail.
@@ -22,13 +22,12 @@ func TestHotPathAllocs(t *testing.T) {
 	m := trainModel(t, ds, 15, 1)
 	rows := ds.Features
 
-	a, err := NewAssigner(m, Options{Workers: 2, BatchSize: 64})
+	a, err := NewAssigner(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Close()
 
-	// Warm the job/scratch pools before measuring.
+	// Warm the scratch pool before measuring.
 	for i := 0; i < 4; i++ {
 		if _, _, err := a.AssignBatch(rows, nil); err != nil {
 			t.Fatal(err)
@@ -57,7 +56,7 @@ func TestHotPathAllocs(t *testing.T) {
 
 	// Tracing on: the span bookkeeping (stage histogram records, flight
 	// recorder) must add nothing beyond the trace-done defer itself.
-	at, err := NewAssigner(m, Options{Workers: 2, BatchSize: 64,
+	at, err := NewAssigner(m, Options{
 		TracerFor: func(model string) *telemetry.RequestTracer {
 			return telemetry.NewRequestTracer(telemetry.NewRegistry(),
 				"alloc_request_stage_seconds", "Alloc stages.", model, 0)
@@ -65,7 +64,6 @@ func TestHotPathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer at.Close()
 	for i := 0; i < 4; i++ {
 		if _, _, err := at.AssignBatch(rows, nil); err != nil {
 			t.Fatal(err)

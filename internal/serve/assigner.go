@@ -5,9 +5,9 @@
 // The package has three pieces:
 //
 //   - Assigner: answers single and batch queries for one immutable
-//     model through a micro-batching worker pool, and accumulates
-//     per-model serving statistics (request/row counters, latency
-//     quantiles, fairness drift, shed/deadline counts).
+//     model, scoring each request on the caller's goroutine, and
+//     accumulates per-model serving statistics (request/row counters,
+//     latency quantiles, fairness drift, shed/deadline counts).
 //   - Registry: a named set of Assigners with atomic hot-swap — a
 //     reload under traffic lets in-flight requests finish on the model
 //     they started with while new requests see the new one.
@@ -18,13 +18,20 @@
 //
 // Assignment is nearest-centroid per row (the only deployment rule the
 // FairKM objective admits for unseen points — see core.Result.Predict),
-// so rows are independent and the worker pool only changes *where* a
-// row is scored, never *what* it scores against: results are identical
-// for every worker count and batch size, and identical to a sequential
-// scan. The micro-batch writes land in caller-allocated slots indexed
-// by row position, so batch order is preserved. This contract is pinned
-// by TestAssignerDeterministic (every worker×batch combination, under
-// -race).
+// so rows are independent: a batch labels rows[i] into result slot i
+// with the same kernel single queries use, and the result is identical
+// to a sequential scan. This contract is pinned by
+// TestAssignerDeterministic (batch sizes straddling the scoring
+// stride, under -race).
+//
+// # Parallelism
+//
+// Requests are the unit of parallelism: net/http serves each on its
+// own goroutine, and the admission gate caps how many score at once.
+// A request is never split across a second pool: under concurrent
+// traffic the requests alone keep the cores busy, and splitting one
+// only adds dispatch cost. A lone request on an idle machine therefore
+// scores on one core.
 //
 // # Overload
 //
@@ -34,19 +41,17 @@
 // estimated queue wait already exceeds the budget are rejected with a
 // ShedError instead of queueing — shed, don't collapse. Request
 // contexts propagate through AssignCtx/AssignBatchCtx: a deadline that
-// expires while queued or mid-batch aborts the request (wrapping
-// context.DeadlineExceeded) rather than scoring rows nobody is waiting
-// for. Limits are per model: every Assigner a Registry constructs gets
-// its own independent gate.
+// expires while queued, or mid-batch at the next stride boundary,
+// aborts the request (wrapping context.DeadlineExceeded) rather than
+// scoring rows nobody is waiting for. Limits are per model: every
+// Assigner a Registry constructs gets its own independent gate.
 package serve
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/model"
@@ -54,20 +59,12 @@ import (
 	"repro/internal/telemetry"
 )
 
-// DefaultBatchSize is the micro-batch size when Options.BatchSize <= 0:
-// how many rows one worker scores per task. Small enough to spread a
-// big batch over the pool, large enough that channel traffic is
-// amortized over many distance evaluations.
-const DefaultBatchSize = 64
+// stride is how many rows a batch scores between context checks: a
+// deadline takes effect after at most this many rows of pure compute.
+const stride = 64
 
 // Options parameterizes an Assigner.
 type Options struct {
-	// BatchSize is the micro-batch size (rows per worker task); <= 0
-	// means DefaultBatchSize.
-	BatchSize int
-	// Workers is the scoring pool size; <= 0 means GOMAXPROCS.
-	Workers int
-
 	// TracerFor, when non-nil, is called once per Assigner construction
 	// with the model's name and returns the span tracer batch requests
 	// report into (nil disables tracing for that model). It is a
@@ -91,74 +88,18 @@ type Options struct {
 	// reject it now and keep the queue short.
 	QueueBudget time.Duration
 
-	// ScoreHook, when non-nil, runs once per scoring task (micro-batch
-	// in the pooled path, whole request in the inline path) before any
-	// distances are computed. It exists ONLY for fault-injection tests —
-	// simulating slow or stalled workers — and must be nil in
-	// production.
+	// ScoreHook, when non-nil, runs once per scored stride of a batch
+	// (at most 64 rows) before any distances are computed. It exists
+	// ONLY for fault-injection tests — simulating slow or stalled
+	// scoring — and must be nil in production.
 	ScoreHook func(rows int)
-}
-
-func (o Options) withDefaults() Options {
-	if o.BatchSize <= 0 {
-		o.BatchSize = DefaultBatchSize
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.MaxConcurrent > 0 && o.MaxQueue <= 0 {
-		o.MaxQueue = DefaultMaxQueue
-	}
-	return o
-}
-
-// batchJob is one batch request's shared work descriptor: participants
-// (pool workers plus, for deadline-free requests, the caller itself)
-// claim micro-batch strides with one atomic add each and score them
-// into the caller's result slots. This replaces the old
-// one-channel-send-per-micro-batch fan-out: dispatch cost is now one
-// channel handoff per PARTICIPANT instead of one per micro-batch, so
-// large batches no longer drown in pool overhead.
-//
-// wg counts participant EXITS, and a participant only exits once no
-// unclaimed stride remains and its own claimed strides are scored —
-// so wg.Wait() implies every stride is done, and implies no
-// participant will touch the job again, which is what makes the
-// sync.Pool reuse of jobs safe.
-type batchJob struct {
-	ctx   context.Context // non-nil only when cancellation can fire
-	rows  [][]float64
-	out   []int
-	dists []float64
-	batch int
-	next  atomic.Int64 // next unclaimed row offset
-	wg    sync.WaitGroup
-}
-
-// jobPool recycles batchJob descriptors so the steady-state batch path
-// allocates nothing beyond the result slices it returns.
-var jobPool = sync.Pool{New: func() any { return new(batchJob) }}
-
-func newJob(ctx context.Context, rows [][]float64, out []int, dists []float64, batch int) *batchJob {
-	j := jobPool.Get().(*batchJob)
-	j.ctx, j.rows, j.out, j.dists, j.batch = ctx, rows, out, dists, batch
-	j.next.Store(0)
-	return j
-}
-
-// putJob must only be called after j.wg.Wait() has returned (or before
-// the job was ever offered to a worker): the wg protocol guarantees no
-// participant touches the job afterwards.
-func putJob(j *batchJob) {
-	j.ctx, j.rows, j.out, j.dists = nil, nil, nil, nil
-	jobPool.Put(j)
 }
 
 // Assigner serves one immutable model. All methods are safe for
 // concurrent use; the model is never mutated after construction.
 type Assigner struct {
 	m    *model.Model
-	opts Options
+	hook func(rows int) // Options.ScoreHook
 
 	// ix is the sorted-neighbor centroid index — norms and neighbor
 	// lists computed once per model install, never per batch — so all
@@ -170,17 +111,7 @@ type Assigner struct {
 	ix      *stats.CentroidIndex
 	scratch sync.Pool
 
-	jobs chan *batchJob
 	gate *gate // nil when admission control is off
-
-	// closeMu serializes request entry against Close, so the pool is
-	// only torn down once every admitted request has drained. Requests
-	// admitted before Close finish normally; requests arriving after
-	// are scored inline on the caller's goroutine (same results, no
-	// pool).
-	closeMu  sync.RWMutex
-	closed   bool
-	inflight sync.WaitGroup
 
 	stats *tracker
 	// tracer, when non-nil, receives one span Trace per batch request
@@ -190,7 +121,7 @@ type Assigner struct {
 	tracer *telemetry.RequestTracer
 }
 
-// NewAssigner validates the model and starts the scoring pool.
+// NewAssigner validates the model and builds its centroid index.
 func NewAssigner(m *model.Model, opts Options) (*Assigner, error) {
 	if m == nil {
 		return nil, fmt.Errorf("serve: nil model")
@@ -198,12 +129,10 @@ func NewAssigner(m *model.Model, opts Options) (*Assigner, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
 	a := &Assigner{
 		m:     m,
-		opts:  opts,
+		hook:  opts.ScoreHook,
 		ix:    stats.NewCentroidIndex(m.Centroids),
-		jobs:  make(chan *batchJob),
 		gate:  newGate(opts),
 		stats: newTracker(m),
 	}
@@ -211,59 +140,11 @@ func NewAssigner(m *model.Model, opts Options) (*Assigner, error) {
 		a.tracer = opts.TracerFor(m.Name)
 	}
 	a.scratch.New = func() any { return a.ix.NewScratch() }
-	for w := 0; w < opts.Workers; w++ {
-		go a.worker()
-	}
 	return a, nil
 }
 
 // Model returns the immutable model being served.
 func (a *Assigner) Model() *model.Model { return a.m }
-
-// Options returns the (defaulted) pool configuration.
-func (a *Assigner) Options() Options { return a.opts }
-
-func (a *Assigner) worker() {
-	for j := range a.jobs {
-		a.runJob(j)
-		j.wg.Done()
-	}
-}
-
-// runJob claims and scores strides until none remain. Stride claiming
-// is one atomic add; the per-stride context check keeps the old
-// semantics that a worker never burns time scoring rows whose request
-// already gave up (it still drains the claims so wg settles).
-func (a *Assigner) runJob(j *batchJob) {
-	n := len(j.rows)
-	for {
-		lo := int(j.next.Add(int64(j.batch))) - j.batch
-		if lo >= n {
-			return
-		}
-		hi := min(lo+j.batch, n)
-		if j.ctx != nil && j.ctx.Err() != nil {
-			continue // request abandoned: drain without scoring
-		}
-		a.score(j.rows[lo:hi], j.out[lo:hi], j.dists[lo:hi])
-	}
-}
-
-// invite offers the job to up to n idle workers without blocking; each
-// successful handoff registers one participant. Busy workers are
-// simply not invited — whoever is already participating (for
-// deadline-free requests, at least the caller) covers the strides.
-func (a *Assigner) invite(j *batchJob, n int) {
-	for w := 0; w < n; w++ {
-		j.wg.Add(1)
-		select {
-		case a.jobs <- j:
-		default:
-			j.wg.Done()
-			return
-		}
-	}
-}
 
 // score labels rows into the caller's slots via the pruned fused
 // kernel — the exact kernel single queries use, so batch and single
@@ -271,45 +152,14 @@ func (a *Assigner) invite(j *batchJob, n int) {
 //
 //fairvet:hotpath
 func (a *Assigner) score(rows [][]float64, out []int, dists []float64) {
-	if h := a.opts.ScoreHook; h != nil {
-		h(len(rows))
+	if a.hook != nil {
+		a.hook(len(rows))
 	}
 	sc := a.scratch.Get().(*stats.CentroidScratch)
 	for i, x := range rows {
-		c, d := a.ix.Nearest(x, sc)
-		out[i] = c
-		if dists != nil {
-			dists[i] = d
-		}
+		out[i], dists[i] = a.ix.Nearest(x, sc)
 	}
 	a.scratch.Put(sc)
-}
-
-// enter admits a request into the pool, or reports that the pool is
-// closed and the request must score inline.
-func (a *Assigner) enter() bool {
-	a.closeMu.RLock()
-	defer a.closeMu.RUnlock()
-	if a.closed {
-		return false
-	}
-	a.inflight.Add(1)
-	return true
-}
-
-// Close drains in-flight requests and stops the worker pool. Requests
-// that raced past a registry swap and still hold this Assigner keep
-// working — they score inline — so hot-swap never truncates traffic.
-func (a *Assigner) Close() {
-	a.closeMu.Lock()
-	if a.closed {
-		a.closeMu.Unlock()
-		return
-	}
-	a.closed = true
-	a.closeMu.Unlock()
-	a.inflight.Wait()
-	close(a.jobs)
 }
 
 // admitErr classifies a gate rejection for the caller: shed errors pass
@@ -393,22 +243,19 @@ func (a *Assigner) AssignCtx(ctx context.Context, x []float64, sensitive map[str
 	return cluster, dist, nil
 }
 
-// AssignBatch labels rows[i] into result slot i, spreading micro-batches
-// of Options.BatchSize rows over the worker pool. sensitive, when
+// AssignBatch labels rows[i] into result slot i. sensitive, when
 // non-nil, must have one entry per row (nil entries allowed) and feeds
-// the drift tracker. Results are deterministic and identical for every
-// pool configuration.
+// the drift tracker. Results are deterministic and identical to a
+// sequential scan.
 func (a *Assigner) AssignBatch(rows [][]float64, sensitive []map[string]string) ([]int, []float64, error) {
 	return a.AssignBatchCtx(context.Background(), rows, sensitive)
 }
 
-// AssignBatchCtx is AssignBatch under a request context. The context's
-// deadline is honored at every stage: while waiting for admission,
-// between micro-batches, and while waiting for pool workers — an
-// expired request returns an error wrapping context.DeadlineExceeded
-// (no partial results) and frees the caller immediately, even if a
-// stalled worker is still pinned on one of its micro-batches (the
-// orphaned task writes into slots nothing reads anymore).
+// AssignBatchCtx is AssignBatch under a request context, scored on the
+// caller's goroutine. The context is checked while waiting for
+// admission, before scoring, at every stride boundary and after the
+// last stride: an expired request returns an error wrapping
+// context.DeadlineExceeded and no partial results.
 func (a *Assigner) AssignBatchCtx(ctx context.Context, rows [][]float64, sensitive []map[string]string) (_ []int, _ []float64, retErr error) {
 	dim := a.m.Dim()
 	for i, x := range rows {
@@ -446,90 +293,18 @@ func (a *Assigner) AssignBatchCtx(ctx context.Context, rows [][]float64, sensiti
 	}
 	out := make([]int, len(rows))
 	dists := make([]float64, len(rows))
-
-	batch := a.opts.BatchSize
-	if len(rows) <= batch || a.opts.Workers <= 1 || !a.enter() {
-		// Small batches, single-worker pools and closed (swapped-out)
-		// assigners score inline: identical results, no pool round trip.
-		// The deadline is still checked between micro-batch strides.
-		for lo := 0; lo < len(rows); lo += batch {
-			if lo > 0 && ctx.Err() != nil {
-				return nil, nil, a.ctxErr(ctx.Err(), "mid-batch")
-			}
-			hi := lo + batch
-			if hi > len(rows) {
-				hi = len(rows)
-			}
-			a.score(rows[lo:hi], out[lo:hi], dists[lo:hi])
-		}
-		if err := ctx.Err(); err != nil {
-			// The deadline passed while scoring (e.g. a stalled stride):
-			// the caller already gave up, so this is a late failure, not
-			// a success whose latency belongs in the accepted stats.
-			return nil, nil, a.ctxErr(err, "mid-batch")
-		}
-	} else if ctx.Done() == nil {
-		// Deadline-free pooled path: the caller is a guaranteed
-		// participant (it scores strides itself — no idle blocking, no
-		// goroutine per request), and idle workers join via invite. One
-		// channel handoff per joining worker is the entire dispatch
-		// cost, however many micro-batches the request spans.
-		//fairvet:ignore ctxflow -- nil is the documented deadline-free sentinel: batchJob.ctx is "non-nil only when cancellation can fire", and strides skip the per-claim ctx poll entirely
-		j := newJob(nil, rows, out, dists, batch)
-		strides := (len(rows) + batch - 1) / batch
-		a.invite(j, min(a.opts.Workers, strides-1))
-		a.runJob(j)
-		j.wg.Wait()
-		putJob(j)
-		a.inflight.Done()
-	} else {
-		// Cancellable pooled path: the caller must never score (a
-		// stalled stride would pin it past its own deadline), so the
-		// first handoff blocks — bounded by the context — to guarantee
-		// a scorer, and the rest are opportunistic.
-		j := newJob(ctx, rows, out, dists, batch)
-		j.wg.Add(1)
-		submitted := false
-		select {
-		case a.jobs <- j:
-			submitted = true
-		case <-ctx.Done():
-			j.wg.Done()
-		}
-		if !submitted {
-			// Never offered: nothing else references the job.
-			putJob(j)
-			a.inflight.Done()
+	for lo := 0; lo < len(rows); lo += stride {
+		if lo > 0 && ctx.Err() != nil {
 			return nil, nil, a.ctxErr(ctx.Err(), "mid-batch")
 		}
-		strides := (len(rows) + batch - 1) / batch
-		a.invite(j, min(a.opts.Workers, strides)-1)
-		// Wait for the participants, but never past the deadline: a
-		// stalled worker must cost a pool goroutine, not the request.
-		done := make(chan struct{})
-		go func() { j.wg.Wait(); close(done) }()
-		expired := false
-		select {
-		case <-done:
-		case <-ctx.Done():
-			expired = true
-		}
-		if expired {
-			// Free the caller now; inflight drops (and the job recycles)
-			// only once the orphaned strides drain, so Close still can't
-			// truncate them.
-			go func() { <-done; a.inflight.Done(); putJob(j) }()
-			return nil, nil, a.ctxErr(ctx.Err(), "mid-batch")
-		}
-		err := ctx.Err()
-		putJob(j)
-		a.inflight.Done()
-		if err != nil {
-			// Participants may have drained strides unscored after
-			// expiry; the slots are unreliable, so the request fails as
-			// a whole.
-			return nil, nil, a.ctxErr(err, "mid-batch")
-		}
+		hi := min(lo+stride, len(rows))
+		a.score(rows[lo:hi], out[lo:hi], dists[lo:hi])
+	}
+	if err := ctx.Err(); err != nil {
+		// The deadline passed while scoring the last stride: the caller
+		// already gave up, so this is a late failure, not a success
+		// whose latency belongs in the accepted stats.
+		return nil, nil, a.ctxErr(err, "mid-batch")
 	}
 
 	a.stats.record(len(rows), time.Since(start))

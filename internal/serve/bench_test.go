@@ -34,41 +34,37 @@ func syntheticModel(tb testing.TB, rows [][]float64, k int) *model.Model {
 	return m
 }
 
-// BenchmarkServe measures batch-assign throughput through the
-// micro-batching worker pool across batch sizes and worker counts, on
-// an Adult-shaped model (k=15, min-max scaled features). `make bench`
-// records the event stream to BENCH_serve.json; rows/op is fixed at
-// 4096 so ns/op across variants compare directly (lower = faster).
+// BenchmarkServe measures batch-assign throughput on an Adult-shaped
+// model (k=15, min-max scaled features): one 4096-row request scored
+// inline (batch=4096), the k-sweep of bare kernels, and the single
+// query. `make bench` records the event stream to BENCH_serve.json;
+// rows/op is fixed at 4096 so ns/op across batch variants compare
+// directly (lower = faster).
 func BenchmarkServe(b *testing.B) {
 	ds := testfix.Adult(1, 4096)
 	m := trainModel(b, ds, 15, 1)
 	rows := ds.Features
 
-	for _, workers := range []int{1, 2, 4} {
-		for _, batch := range []int{16, 64, 256, 1024} {
-			b.Run(fmt.Sprintf("workers=%d/batch=%d", workers, batch), func(b *testing.B) {
-				a, err := NewAssigner(m, Options{Workers: workers, BatchSize: batch})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer a.Close()
-				b.SetBytes(int64(len(rows)))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, _, err := a.AssignBatch(rows, nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+	b.Run("batch=4096", func(b *testing.B) {
+		a, err := NewAssigner(m, Options{})
+		if err != nil {
+			b.Fatal(err)
 		}
-	}
+		b.SetBytes(int64(len(rows)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := a.AssignBatch(rows, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 
 	// k-sweep: the indexed serving kernel (what every Assigner scores
 	// with) against the naive model.AssignDist scan on the same rows,
 	// for centroid counts spanning small to wide deployments — both as
-	// bare kernel loops, so the ratio is pure kernel (pool overhead is
-	// the workers×batch grid above). It must grow with k; the naive
+	// bare kernel loops, so the ratio is pure kernel (request overhead
+	// is batch=4096 above). It must grow with k; the naive
 	// scan stays in the codebase exactly so this reference keeps
 	// meaning. Models are built directly (not trained) so k=150 costs
 	// no setup time.
@@ -105,7 +101,6 @@ func BenchmarkServe(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer a.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, _, err := a.Assign(rows[i%len(rows)], nil); err != nil {
@@ -116,7 +111,7 @@ func BenchmarkServe(b *testing.B) {
 }
 
 // BenchmarkServeTelemetry pins the cost of span tracing on the batch
-// path: the same workers=2/batch=64 workload with and without a live
+// path: the same batch=4096 workload with and without a live
 // RequestTracer (registry-backed stage histograms plus the flight
 // recorder). The `BenchmarkServe` prefix gets the pair recorded into
 // BENCH_serve.json by `make bench`, and bench-check's dedicated
@@ -131,20 +126,19 @@ func BenchmarkServeTelemetry(b *testing.B) {
 		name string
 		opts Options
 	}{
-		{"telemetry=off", Options{Workers: 2, BatchSize: 64}},
-		{"telemetry=on", Options{Workers: 2, BatchSize: 64,
+		{"telemetry=off", Options{}},
+		{"telemetry=on", Options{
 			TracerFor: func(model string) *telemetry.RequestTracer {
 				return telemetry.NewRequestTracer(telemetry.NewRegistry(),
 					"bench_request_stage_seconds", "Bench stages.", model, 0)
 			}}},
 	}
 	for _, v := range variants {
-		b.Run(v.name+"/workers=2/batch=64", func(b *testing.B) {
+		b.Run(v.name+"/batch=4096", func(b *testing.B) {
 			a, err := NewAssigner(m, v.opts)
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer a.Close()
 			b.SetBytes(int64(len(rows)))
 			b.ReportAllocs()
 			b.ResetTimer()

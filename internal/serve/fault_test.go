@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -73,7 +74,7 @@ func TestReloadFaultInjectionUnderTraffic(t *testing.T) {
 		}
 	}
 
-	reg := NewRegistry(Options{Workers: 2, BatchSize: 32})
+	reg := NewRegistry(Options{})
 	defer reg.Close()
 	if _, err := reg.Load("prod", goodA); err != nil {
 		t.Fatal(err)
@@ -158,5 +159,66 @@ func TestReloadFaultInjectionUnderTraffic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, wantB) {
 		t.Error("post-swap labelling is not model B")
+	}
+}
+
+// TestReloadRejectsMassMismatch: an artifact whose populated cluster
+// carries a categorical distribution that no longer sums to the
+// training mass must fail Reload with an error (it used to panic in
+// the drift tracker's Wasserstein1), and the incumbent keeps serving.
+func TestReloadRejectsMassMismatch(t *testing.T) {
+	dir := t.TempDir()
+	ds := testfix.Synth(19, 300, 4, 1, 0)
+	m := trainModel(t, ds, 4, 500)
+	good := filepath.Join(dir, "good.json")
+	if err := model.Save(good, m); err != nil {
+		t.Fatal(err)
+	}
+	bad, err := model.Load(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Take 0.005 off one entry of a populated cluster's distribution.
+	ai := bad.CategoricalAttrs()[0]
+	c := 0
+	for bad.Clusters[c].Mass == 0 {
+		c++
+	}
+	dist := bad.Clusters[c].Distributions[ai]
+	v := 0
+	for dist[v] < 0.005 {
+		v++
+	}
+	dist[v] -= 0.005
+	raw, err := json.Marshal(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	badPath := filepath.Join(dir, "bad.json")
+	if err := os.WriteFile(badPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := NewRegistry(Options{})
+	defer reg.Close()
+	if _, err := reg.Load("prod", good); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Reload("prod", badPath); err == nil {
+		t.Fatal("reload of a mass-mismatched artifact succeeded")
+	}
+	e, err := reg.Get("prod")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Generation != 1 {
+		t.Errorf("generation = %d after a failed reload, want 1", e.Generation)
+	}
+	got, _, err := e.Assigner().AssignBatch(ds.Features, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, sequential(m, ds.Features)) {
+		t.Error("incumbent labels differently after the failed reload")
 	}
 }

@@ -42,9 +42,9 @@ func (e *Entry) Model() *model.Model { return e.assigner.Model() }
 // nothing — never a partially-loaded model. Install loads and validates
 // the incoming artifact completely before publishing it, then swaps the
 // map binding under the write lock; requests already holding the old
-// Entry finish on the old model (its worker pool drains before closing,
-// see Assigner.Close), requests resolving the name afterwards get the
-// new one. A failed load leaves the old Entry serving untouched.
+// Entry finish on the old model, requests resolving the name afterwards
+// get the new one. A failed load leaves the old Entry serving
+// untouched.
 type Registry struct {
 	mu      sync.RWMutex
 	entries map[string]*Entry
@@ -94,12 +94,6 @@ func (r *Registry) Install(name, path string, m *model.Model) (*Entry, error) {
 		r.defName = name
 	}
 	r.mu.Unlock()
-
-	if old != nil {
-		// Drain the displaced pool in the background: in-flight requests
-		// holding the old Entry finish on the old model.
-		go old.assigner.Close()
-	}
 	return e, nil
 }
 
@@ -169,14 +163,11 @@ func (r *Registry) List() []*Entry {
 	return out
 }
 
-// Close drains every model's worker pool.
+// Close drops every entry. Requests already holding an Entry finish
+// on it; the registry itself resolves nothing afterwards.
 func (r *Registry) Close() {
 	r.mu.Lock()
-	entries := r.entries
 	r.entries = map[string]*Entry{}
 	r.defName = ""
 	r.mu.Unlock()
-	for _, e := range entries {
-		e.assigner.Close()
-	}
 }

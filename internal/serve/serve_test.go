@@ -39,40 +39,56 @@ func sequential(m *model.Model, rows [][]float64) []int {
 	return out
 }
 
-// TestAssignerDeterministic pins the concurrency contract: every
-// worker count × batch size yields exactly the sequential labelling,
-// in order. Run under -race in CI.
+// batchSizes straddle the scoring stride: a lone row, one short of a
+// stride, exactly one, one over, several with a ragged tail, and a
+// bulk request.
+var batchSizes = []int{1, stride - 1, stride, stride + 1, 300, 4096}
+
+// queryRows returns n rows cycling through ds's rows, each pass
+// shifted so no two rows repeat.
+func queryRows(ds *dataset.Dataset, n int) [][]float64 {
+	rows := make([][]float64, n)
+	for i := range rows {
+		x := append([]float64(nil), ds.Features[i%ds.N()]...)
+		for j := range x {
+			x[j] += 0.01 * float64(i/ds.N())
+		}
+		rows[i] = x
+	}
+	return rows
+}
+
+// TestAssignerDeterministic pins the batch contract: every batch size
+// yields exactly the sequential labelling, in order, with the same
+// distances single queries report. Run under -race in CI.
 func TestAssignerDeterministic(t *testing.T) {
 	ds := testfix.Synth(21, 700, 5, 2, 0)
 	m := trainModel(t, ds, 6, 3)
-	want := sequential(m, ds.Features)
-
-	for _, workers := range []int{1, 2, 3, 8} {
-		for _, batch := range []int{1, 7, 64, 1000} {
-			t.Run(fmt.Sprintf("w%d_b%d", workers, batch), func(t *testing.T) {
-				a, err := NewAssigner(m, Options{Workers: workers, BatchSize: batch})
+	a, err := NewAssigner(m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range batchSizes {
+		t.Run(fmt.Sprintf("n%d", n), func(t *testing.T) {
+			rows := queryRows(ds, n)
+			want := sequential(m, rows)
+			got, dists, err := a.AssignBatch(rows, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatal("batch labelling differs from sequential scan")
+			}
+			for i, x := range rows {
+				c, d, err := a.Assign(x, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer a.Close()
-				got, dists, err := a.AssignBatch(ds.Features, nil)
-				if err != nil {
-					t.Fatal(err)
+				if c != want[i] || d != dists[i] {
+					t.Fatalf("single query %d: (%d,%v) vs batch (%d,%v)", i, c, d, want[i], dists[i])
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatal("batch labelling differs from sequential scan")
-				}
-				for i, x := range ds.Features {
-					c, d, err := a.Assign(x, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if c != want[i] || d != dists[i] {
-						t.Fatalf("single query %d: (%d,%v) vs batch (%d,%v)", i, c, d, want[i], dists[i])
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -82,11 +98,10 @@ func TestAssignerConcurrentClients(t *testing.T) {
 	ds := testfix.Synth(4, 500, 4, 1, 0)
 	m := trainModel(t, ds, 5, 9)
 	want := sequential(m, ds.Features)
-	a, err := NewAssigner(m, Options{Workers: 4, BatchSize: 32})
+	a, err := NewAssigner(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Close()
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
@@ -125,7 +140,6 @@ func TestAssignerDimensionMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Close()
 	if _, _, err := a.Assign([]float64{1}, nil); err == nil {
 		t.Error("short vector accepted")
 	}
@@ -134,27 +148,6 @@ func TestAssignerDimensionMismatch(t *testing.T) {
 	}
 	if _, _, err := a.AssignBatch(ds.Features[:3], make([]map[string]string, 2)); err == nil {
 		t.Error("mismatched sensitive slice accepted")
-	}
-}
-
-// TestAssignAfterClose: a request that raced past a swap still gets
-// correct results from a closed assigner (inline path).
-func TestAssignAfterClose(t *testing.T) {
-	ds := testfix.Synth(5, 300, 4, 1, 0)
-	m := trainModel(t, ds, 4, 2)
-	want := sequential(m, ds.Features)
-	a, err := NewAssigner(m, Options{Workers: 4, BatchSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Close()
-	a.Close() // idempotent
-	got, _, err := a.AssignBatch(ds.Features, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("closed assigner labels differently")
 	}
 }
 
@@ -172,7 +165,7 @@ func TestRegistryHotSwap(t *testing.T) {
 		t.Fatal("fixture models agree everywhere; hot-swap test needs distinguishable models")
 	}
 
-	reg := NewRegistry(Options{Workers: 2, BatchSize: 32})
+	reg := NewRegistry(Options{})
 	if _, err := reg.Install("prod", "", mA); err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +290,6 @@ func TestDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Close()
 
 	// Before any traffic: training side only.
 	reps := a.Drift()
@@ -337,7 +329,6 @@ func TestDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Close()
 	for i, x := range ds.Features {
 		v := attr.Values[0]
 		if i%5 == 0 {

@@ -25,14 +25,13 @@ func tracedAssigner(t *testing.T, opts Options) (*Assigner, *telemetry.RequestTr
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(a.Close)
 	return a, tracer
 }
 
 // TestAssignBatchTraced: an OK batch produces one trace with a
 // consistent stage breakdown and feeds the per-stage histograms.
 func TestAssignBatchTraced(t *testing.T) {
-	a, tracer := tracedAssigner(t, Options{Workers: 2, BatchSize: 16})
+	a, tracer := tracedAssigner(t, Options{})
 	rows := testfix.Adult(1, 256).Features
 	for i := 0; i < 3; i++ {
 		if _, _, err := a.AssignBatch(rows, nil); err != nil {
@@ -75,8 +74,6 @@ func TestAssignBatchTracedOutcomes(t *testing.T) {
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
 	a, tracer := tracedAssigner(t, Options{
-		Workers:       1,
-		BatchSize:     16,
 		MaxConcurrent: 1,
 		MaxQueue:      1,
 		ScoreHook: func(rows int) {

@@ -4,8 +4,9 @@ package stats
 
 import "sort"
 
-// Nearest-centroid kernels: the hot path of both Lloyd sweeps
-// (internal/kmeans) and every serving request (internal/serve).
+// Nearest-centroid kernels for serving (internal/serve): the indexed
+// walk every request scores with, and the naive reference scan it is
+// tested and benchmarked against.
 //
 // The fused form rewrites the squared Euclidean distance as
 //
@@ -14,187 +15,39 @@ import "sort"
 // so that, with ‖c‖² precomputed once per centroid set (CentroidNorms)
 // and ‖x‖² once per row, scoring one candidate is a single dot product
 // plus two adds — ~2·dim flops instead of the 3·dim of the
-// subtract-square scan — and admits a triangle-inequality prune: by
-// Cauchy-Schwarz, d²(x, c) ≥ (‖x‖ − ‖c‖)², so a candidate whose norm
-// gap alone already exceeds the best distance found so far cannot win
-// and its dot product is skipped entirely. The prune test is evaluated
-// in squared form (no square roots in the loop): for g = ‖x‖² + ‖c‖² −
-// best, g > 0 ∧ g² > 4·‖x‖²·‖c‖² implies (‖x‖ − ‖c‖)² > best.
+// subtract-square scan.
 //
 // # Tie-break and exactness contract
 //
-// Candidates are scanned in index order and the best index is replaced
-// only on a strict improvement, so ties keep the lowest centroid index
-// — exactly the sequential-scan rule of model.AssignDist and
-// kmeans. The prune test carries a relative slack (normPruneSlack) so
-// that rounding error can only ever make it prune LESS: a candidate is
-// skipped only when its distance provably exceeds the incumbent with
-// margin, which is precisely the "no update" branch of the plain scan.
-// NearestCentroid is therefore bit-identical to an unpruned fused scan
-// on every input — including duplicate centroids and exactly
-// equidistant rows (pinned by TestNearestCentroidPruneTransparent).
+// Ties keep the lowest centroid index — exactly the sequential-scan
+// rule of model.AssignDist and kmeans. CentroidIndex.Nearest is
+// bit-identical to an unpruned fused scan in index order on every
+// input, including duplicate centroids and exactly equidistant rows
+// (pinned by TestCentroidIndexTransparent and TestCentroidIndexGrid).
 //
 // Fused distance VALUES differ from SqDist by a few ulps (different
 // rounding order), so the fused winner can in principle differ from
 // the SqDist winner when two non-identical centroids are equidistant
 // to within that rounding noise; bit-identical duplicate centroids tie
 // exactly under both formulas and resolve to the same (lowest) index.
-// The fused-vs-naive assignment parity on real data is pinned across
-// k/dim/seed grids by TestNearestCentroidMatchesNaiveScan.
+// The fused-vs-naive assignment parity is pinned across k/dim/seed
+// grids by TestNearestCentroidMatchesNaiveScan.
 
-// normPruneSlack inflates the right-hand side of the norm-gap prune
-// test so floating-point rounding can never prune a candidate that the
-// exact comparison would keep. 1e-9 relative is ~6 orders of magnitude
-// above the accumulated rounding of the few flops involved.
+// normPruneSlack inflates the pruning threshold so floating-point
+// rounding can never prune a candidate that the exact comparison would
+// keep. 1e-9 relative is ~6 orders of magnitude above the accumulated
+// rounding of the few flops involved.
 const normPruneSlack = 1 + 1e-9
-
-// pruneMinK disables the norm-gap test below this many centroids: with
-// a handful of candidates the test's ~5 flops per candidate cost more
-// than the dot products they occasionally save. Skipping a transparent
-// prune cannot change results, so the switch is invisible.
-const pruneMinK = 16
-
-// nearestBlock is the row-block size of the cache-blocked batch kernel:
-// per-row state (‖x‖², running best) lives in fixed stack arrays while
-// one centroid at a time is streamed across the whole block, so the
-// centroid's cache lines are reused nearestBlock times.
-const nearestBlock = 32
-
-// nearestBlockMinFloats engages the cache-blocked centroid-major order
-// only when the centroid matrix (k·dim floats) outgrows comfortable L1
-// residency; below that, streaming centroids per row is free and the
-// per-row register form is faster than blocked array bookkeeping.
-const nearestBlockMinFloats = 8192
 
 // CentroidNorms returns the squared Euclidean norm ‖c‖² of every
 // centroid — the per-centroid constant of the fused kernel. Callers
-// compute it once per centroid set (per model install in serving, per
-// frozen iteration in training), never per batch.
+// compute it once per centroid set, never per batch.
 func CentroidNorms(centroids [][]float64) []float64 {
 	norms := make([]float64, len(centroids))
 	for c, cen := range centroids {
 		norms[c] = Dot(cen, cen)
 	}
 	return norms
-}
-
-// NearestCentroid returns the index of the centroid nearest to x under
-// squared Euclidean distance, and that distance, scoring via the fused
-// norm form with norm-gap pruning. norms must be CentroidNorms of
-// exactly these centroids; centroids must be non-empty and every row
-// must match x's length (enforced by Dot). Ties keep the lowest index.
-//
-// The returned distance is the fused value clamped at zero (the fused
-// form can round a few ulps below zero when x sits on a centroid).
-//
-//fairvet:hotpath
-func NearestCentroid(x []float64, centroids [][]float64, norms []float64) (int, float64) {
-	xn := Dot(x, x)
-	best := 0
-	bestD := xn - 2*Dot(x, centroids[0]) + norms[0]
-	if len(centroids) < pruneMinK {
-		for c := 1; c < len(centroids); c++ {
-			if d := xn - 2*Dot(x, centroids[c]) + norms[c]; d < bestD {
-				best, bestD = c, d
-			}
-		}
-	} else {
-		for c := 1; c < len(centroids); c++ {
-			cn := norms[c]
-			if g := xn + cn - bestD; g > 0 && g*g > 4*xn*cn*normPruneSlack {
-				continue // (‖x‖−‖c‖)² > bestD with margin: cannot win
-			}
-			if d := xn - 2*Dot(x, centroids[c]) + cn; d < bestD {
-				best, bestD = c, d
-			}
-		}
-	}
-	if bestD < 0 {
-		bestD = 0
-	}
-	return best, bestD
-}
-
-// NearestCentroids labels rows[i] into out[i] (and its distance into
-// dists[i] when dists is non-nil). When the centroid matrix is small
-// enough to live in L1 it scores row-major via NearestCentroid;
-// beyond that it switches to cache-blocked row blocks: per block,
-// ‖x‖² and the running best are computed once into stack arrays, then
-// each centroid is streamed across the whole block so its cache lines
-// are reused nearestBlock times. The candidate order and arithmetic
-// per row are identical either way (per-row state never crosses
-// rows), so results are independent of the blocking.
-//
-//fairvet:hotpath
-func NearestCentroids(rows [][]float64, centroids [][]float64, norms []float64, out []int, dists []float64) {
-	if len(centroids) == 0 {
-		return
-	}
-	if len(centroids)*len(centroids[0]) <= nearestBlockMinFloats {
-		for i, x := range rows {
-			c, d := NearestCentroid(x, centroids, norms)
-			out[i] = c
-			if dists != nil {
-				dists[i] = d
-			}
-		}
-		return
-	}
-	var xn, bestD [nearestBlock]float64
-	var best [nearestBlock]int
-	for base := 0; base < len(rows); base += nearestBlock {
-		m := len(rows) - base
-		if m > nearestBlock {
-			m = nearestBlock
-		}
-		blk := rows[base : base+m]
-		for j, x := range blk {
-			xn[j] = Dot(x, x)
-			bestD[j] = xn[j] - 2*Dot(x, centroids[0]) + norms[0]
-			best[j] = 0
-		}
-		for c := 1; c < len(centroids); c++ {
-			cen := centroids[c]
-			cn := norms[c]
-			for j, x := range blk {
-				if g := xn[j] + cn - bestD[j]; g > 0 && g*g > 4*xn[j]*cn*normPruneSlack {
-					continue
-				}
-				if d := xn[j] - 2*Dot(x, cen) + cn; d < bestD[j] {
-					best[j], bestD[j] = c, d
-				}
-			}
-		}
-		for j := 0; j < m; j++ {
-			out[base+j] = best[j]
-			if dists != nil {
-				d := bestD[j]
-				if d < 0 {
-					d = 0
-				}
-				dists[base+j] = d
-			}
-		}
-	}
-}
-
-// CentroidCC2 returns the full k×k matrix of squared pairwise centroid
-// distances — the per-model constant CentroidIndex sorts into its
-// neighbor lists. Cost: O(k²·dim) once per centroid set (model
-// install), k² floats of memory.
-func CentroidCC2(centroids [][]float64) [][]float64 {
-	k := len(centroids)
-	cc2 := make([][]float64, k)
-	flat := make([]float64, k*k)
-	for i := range cc2 {
-		cc2[i] = flat[i*k : (i+1)*k : (i+1)*k]
-		for j := 0; j < i; j++ {
-			d := SqDist(centroids[i], centroids[j])
-			cc2[i][j] = d
-			cc2[j][i] = d
-		}
-	}
-	return cc2
 }
 
 // CentroidIndex is the serving-side pruning structure: per centroid,
@@ -236,11 +89,6 @@ type nbrPair struct {
 	j  uint32
 }
 
-// Norms exposes the precomputed ‖c‖² table (CentroidNorms of the
-// indexed centroids), so callers already holding an index never
-// recompute it.
-func (ix *CentroidIndex) Norms() []float64 { return ix.norms }
-
 // NewCentroidIndex builds the sorted-neighbor index over a row-major
 // copy of centroids; later mutation of the argument does not affect
 // the index.
@@ -260,7 +108,17 @@ func NewCentroidIndex(centroids [][]float64) *CentroidIndex {
 	if k == 0 {
 		return ix
 	}
-	cc2 := CentroidCC2(centroids)
+	// cc2 is the k×k matrix of squared center-to-center distances,
+	// symmetric with a zero diagonal.
+	cc2 := make([][]float64, k)
+	for i := range cc2 {
+		cc2[i] = make([]float64, k)
+		for j := 0; j < i; j++ {
+			d := SqDist(centroids[i], centroids[j])
+			cc2[i][j] = d
+			cc2[j][i] = d
+		}
+	}
 	flatNbr := make([]nbrPair, k*(k-1))
 	ix.nbr = make([][]nbrPair, k)
 	ord := make([]int, k-1)
@@ -311,9 +169,9 @@ func (ix *CentroidIndex) NewScratch() *CentroidScratch {
 // every input. The walk evaluates candidates out of index order, so
 // the incumbent is replaced on d < bestD OR d == bestD with a lower
 // index — the order-independent statement of the scan's
-// strict-improvement rule — and the break threshold carries the same
-// slack margins as NearestCentroid (multiplicative normPruneSlack plus
-// an additive floor relative to ‖x‖² + ‖c_best‖²), so rounding can
+// strict-improvement rule — and the break threshold carries slack
+// margins (multiplicative normPruneSlack plus an additive floor
+// relative to ‖x‖² + ‖c_best‖²), so rounding can
 // only ever terminate LATER: a candidate is skipped only when its
 // distance provably strictly exceeds the incumbent, which rules out
 // both a win and a lower-index tie. Duplicate centroids sit at
@@ -449,8 +307,8 @@ done:
 
 // NearestCentroidScan is the naive reference: a plain SqDist scan in
 // index order with strict-improvement (lowest-index tie) semantics. It
-// is what the fused kernels are tested and benchmarked against, and
-// the exact deployment rule of model.AssignDist.
+// is what the indexed walk is tested and benchmarked against, and the
+// exact deployment rule of model.AssignDist.
 func NearestCentroidScan(x []float64, centroids [][]float64) (int, float64) {
 	best := 0
 	bestD := SqDist(x, centroids[0])

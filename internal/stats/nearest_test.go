@@ -20,8 +20,8 @@ func genRows(seed, n, dim int) [][]float64 {
 	return rows
 }
 
-// unprunedFused is the fused scan with the norm-gap prune disabled —
-// the reference NearestCentroid must match bit-for-bit on EVERY input.
+// unprunedFused is the fused scan with no pruning — the reference
+// CentroidIndex.Nearest must match bit-for-bit on EVERY input.
 func unprunedFused(x []float64, centroids [][]float64, norms []float64) (int, float64) {
 	xn := Dot(x, x)
 	best := 0
@@ -38,23 +38,20 @@ func unprunedFused(x []float64, centroids [][]float64, norms []float64) (int, fl
 }
 
 // TestNearestCentroidMatchesNaiveScan pins fused-vs-naive assignment
-// parity across a k × dim × seed grid: the fused kernel must pick the
-// same centroid as the SqDist reference scan, and its distance must
-// agree to rounding noise.
+// parity across a k × dim × seed grid: the indexed walk must pick the
+// same centroid as the SqDist reference scan (model.AssignDist's
+// rule), and its distance must agree to rounding noise.
 func TestNearestCentroidMatchesNaiveScan(t *testing.T) {
 	for _, k := range []int{1, 2, 5, 15, 50, 150} {
 		for _, dim := range []int{1, 2, 3, 4, 7, 8, 16, 64} {
 			for seed := 0; seed < 3; seed++ {
 				t.Run(fmt.Sprintf("k%d_d%d_s%d", k, dim, seed), func(t *testing.T) {
 					centroids := genRows(seed, k, dim)
-					norms := CentroidNorms(centroids)
-					rows := genRows(seed+100, 200, dim)
-					out := make([]int, len(rows))
-					dists := make([]float64, len(rows))
-					NearestCentroids(rows, centroids, norms, out, dists)
-					for i, x := range rows {
+					ix := NewCentroidIndex(centroids)
+					sc := ix.NewScratch()
+					for i, x := range genRows(seed+100, 200, dim) {
 						wantC, wantD := NearestCentroidScan(x, centroids)
-						gotC, gotD := NearestCentroid(x, centroids, norms)
+						gotC, gotD := ix.Nearest(x, sc)
 						scale := 1 + math.Abs(wantD)
 						if gotC != wantC {
 							// The discretized synthetic grid produces rows
@@ -65,43 +62,14 @@ func TestNearestCentroidMatchesNaiveScan(t *testing.T) {
 							// itself calls it a tie to within rounding noise.
 							alt := SqDist(x, centroids[gotC])
 							if math.Abs(alt-wantD) > 1e-12*scale {
-								t.Fatalf("row %d: fused picked %d (naive d %v), naive scan %d (d %v) — not a tie", i, gotC, alt, wantC, wantD)
+								t.Fatalf("row %d: indexed picked %d (naive d %v), naive scan %d (d %v) — not a tie", i, gotC, alt, wantC, wantD)
 							}
 						}
 						if math.Abs(gotD-wantD) > 1e-9*scale {
-							t.Fatalf("row %d: fused dist %v vs naive %v", i, gotD, wantD)
-						}
-						if out[i] != gotC || dists[i] != gotD {
-							t.Fatalf("row %d: batch kernel (%d,%v) differs from single (%d,%v)", i, out[i], dists[i], gotC, gotD)
+							t.Fatalf("row %d: indexed dist %v vs naive %v", i, gotD, wantD)
 						}
 					}
 				})
-			}
-		}
-	}
-}
-
-// TestNearestCentroidPruneTransparent pins the exactness contract of
-// the norm-gap prune: on every input — including duplicate centroids,
-// zero rows and rows sitting exactly on a centroid — the pruned kernel
-// is bit-identical to the unpruned fused scan.
-func TestNearestCentroidPruneTransparent(t *testing.T) {
-	cases := [][][]float64{
-		genRows(1, 40, 8),
-		genRows(2, 150, 16),
-		{{0, 0, 0}, {1, 0, 0}, {1, 0, 0}, {0, 1, 0}, {-3, 4, 0}}, // duplicates
-	}
-	for ci, centroids := range cases {
-		norms := CentroidNorms(centroids)
-		dim := len(centroids[0])
-		rows := genRows(ci+7, 300, dim)
-		rows = append(rows, make([]float64, dim)) // the origin
-		rows = append(rows, Clone(centroids[len(centroids)/2]))
-		for i, x := range rows {
-			wc, wd := unprunedFused(x, centroids, norms)
-			gc, gd := NearestCentroid(x, centroids, norms)
-			if gc != wc || gd != wd {
-				t.Fatalf("case %d row %d: pruned (%d,%v) vs unpruned (%d,%v)", ci, i, gc, gd, wc, wd)
 			}
 		}
 	}
@@ -113,16 +81,14 @@ func TestNearestCentroidPruneTransparent(t *testing.T) {
 // near-duplicate centroids a few ulps apart, the origin, and queries
 // sitting exactly on a (duplicated) centroid, where bestD = 0 makes
 // the break threshold lean entirely on its additive rounding floor.
-// Centroid sets straddle pruneMinK so both the indexed walk and the
-// small-k plain-scan regime are exercised, and scratch is reused
+// Centroid sets range from 4 to 150 centroids, and scratch is reused
 // across queries (the epoch bookkeeping under test).
 func TestCentroidIndexTransparent(t *testing.T) {
 	nearDup := Clone([]float64{0.1, 0.2, 0.3})
 	nearDup[2] = math.Nextafter(nearDup[2], 1) // 1 ulp off centroid 0
 	dupFar := [][]float64{{0.1, 0.2, 0.3}, nearDup, {5, 5, 5}, {0.1, 0.2, 0.3}}
-	// The same ulp-near duplicates embedded in an indexed (k ≥
-	// pruneMinK) set, so the additive floor is load-bearing on the walk
-	// path too.
+	// The same ulp-near duplicates embedded in a 24-centroid set, so
+	// the additive floor is load-bearing on a longer walk too.
 	bigDup := append(genRows(3, 20, 3), dupFar...)
 	cases := [][][]float64{
 		genRows(1, 40, 8),
@@ -176,91 +142,37 @@ func TestCentroidIndexGrid(t *testing.T) {
 	}
 }
 
-// TestCentroidCC2 pins the matrix shape and symmetry: zero diagonal,
-// cc2[i][j] == SqDist(c_i, c_j) exactly, symmetric by construction.
-func TestCentroidCC2(t *testing.T) {
-	centroids := genRows(5, 20, 6)
-	cc2 := CentroidCC2(centroids)
-	if len(cc2) != len(centroids) {
-		t.Fatalf("cc2 has %d rows, want %d", len(cc2), len(centroids))
-	}
-	for i := range cc2 {
-		if len(cc2[i]) != len(centroids) {
-			t.Fatalf("cc2[%d] has %d cols, want %d", i, len(cc2[i]), len(centroids))
-		}
-		if cc2[i][i] != 0 {
-			t.Fatalf("cc2[%d][%d] = %v, want 0", i, i, cc2[i][i])
-		}
-		for j := range cc2[i] {
-			if want := SqDist(centroids[i], centroids[j]); i != j && cc2[i][j] != want {
-				t.Fatalf("cc2[%d][%d] = %v, want %v", i, j, cc2[i][j], want)
-			}
-			if cc2[i][j] != cc2[j][i] {
-				t.Fatalf("cc2 not symmetric at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
 // TestNearestCentroidTies: duplicate centroids and exactly equidistant
-// rows must resolve to the lowest centroid index, matching the naive
-// scan.
+// rows must resolve to the lowest centroid index, in the indexed walk
+// and the naive scan alike.
 func TestNearestCentroidTies(t *testing.T) {
 	// Duplicate centroids: indexes 1 and 3 are bit-identical; both
 	// formulas tie exactly, and the first must win.
 	centroids := [][]float64{{5, 5}, {1, 2}, {9, 9}, {1, 2}}
-	norms := CentroidNorms(centroids)
+	ix := NewCentroidIndex(centroids)
+	sc := ix.NewScratch()
 	x := []float64{1.25, 2.5}
-	gc, _ := NearestCentroid(x, centroids, norms)
+	gc, _ := ix.Nearest(x, sc)
 	wc, _ := NearestCentroidScan(x, centroids)
 	if gc != 1 || wc != 1 {
-		t.Fatalf("duplicate centroids: fused %d, naive %d, want 1", gc, wc)
+		t.Fatalf("duplicate centroids: indexed %d, naive %d, want 1", gc, wc)
 	}
 
 	// Exactly equidistant row (all coordinates exactly representable):
 	// the origin is distance 1 from both unit centroids; index 0 wins.
 	eq := [][]float64{{1, 0}, {0, 1}, {3, 4}}
-	eqNorms := CentroidNorms(eq)
-	gc, _ = NearestCentroid([]float64{0, 0}, eq, eqNorms)
+	eqIx := NewCentroidIndex(eq)
+	gc, _ = eqIx.Nearest([]float64{0, 0}, eqIx.NewScratch())
 	wc, _ = NearestCentroidScan([]float64{0, 0}, eq)
 	if gc != 0 || wc != 0 {
-		t.Fatalf("equidistant row: fused %d, naive %d, want 0", gc, wc)
+		t.Fatalf("equidistant row: indexed %d, naive %d, want 0", gc, wc)
 	}
 
 	// A row ON a duplicated centroid: distance 0 twice, lowest index
 	// wins and the clamped distance is exactly zero.
-	gc, gd := NearestCentroid([]float64{1, 2}, centroids, norms)
+	gc, gd := ix.Nearest([]float64{1, 2}, sc)
 	if gc != 1 || gd != 0 {
 		t.Fatalf("on-centroid tie: got (%d,%v), want (1,0)", gc, gd)
-	}
-}
-
-// TestNearestCentroidsBlockBoundaries exercises row counts around the
-// cache-block size, including the empty batch, for both the small
-// (row-major) and large (centroid-major blocked) centroid regimes.
-func TestNearestCentroidsBlockBoundaries(t *testing.T) {
-	for _, shape := range []struct{ k, dim int }{
-		{7, 5},    // k·dim ≤ nearestBlockMinFloats: row-major path
-		{150, 64}, // k·dim > nearestBlockMinFloats: blocked path
-	} {
-		centroids := genRows(3, shape.k, shape.dim)
-		norms := CentroidNorms(centroids)
-		for _, n := range []int{0, 1, nearestBlock - 1, nearestBlock, nearestBlock + 1, 3*nearestBlock + 5} {
-			rows := genRows(4, n, shape.dim)
-			out := make([]int, n)
-			NearestCentroids(rows, centroids, norms, out, nil) // nil dists allowed
-			dists := make([]float64, n)
-			NearestCentroids(rows, centroids, norms, out, dists)
-			for i, x := range rows {
-				wc, wd := NearestCentroid(x, centroids, norms)
-				if out[i] != wc {
-					t.Fatalf("k=%d n=%d row %d: batch %d vs single %d", shape.k, n, i, out[i], wc)
-				}
-				if dists[i] != wd {
-					t.Fatalf("k=%d n=%d row %d: batch dist %v vs single %v", shape.k, n, i, dists[i], wd)
-				}
-			}
-		}
 	}
 }
 

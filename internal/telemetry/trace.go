@@ -28,8 +28,8 @@ const (
 	// StageQueue is the measured blocking wait inside the gate's queue
 	// (a sub-interval of admission; zero when the fast path admitted).
 	StageQueue = "queue"
-	// StageScore is everything after admission: micro-batch scoring
-	// plus pool coordination.
+	// StageScore is everything after admission: scoring the rows plus
+	// the deadline checks between strides.
 	StageScore = "score"
 	// StageTotal is the full request, entry to reply.
 	StageTotal = "total"
